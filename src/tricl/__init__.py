@@ -52,7 +52,6 @@ from .variety import (
     is_adjusted,
     rationality_class,
     render_relations,
-    validate,
 )
 from .coxring import (
     CoxConstruction,
@@ -95,7 +94,6 @@ from .type1 import (
     is_adjusted_type1,
     lift_to_type2,
     type1_n_tilde,
-    validate_type1,
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ from .variety import (
     RationalityClass,
     RationalityKind,
     TrinomialVariety,
-    component_counts,
     dimension,
     exponent_matrix,
     rationality_class,
@@ -78,14 +77,18 @@ ClassGroup = Union[FgAbelianGroup, NotFinitelyGenerated]
 
 def n_tilde(variety: TrinomialVariety) -> int:
     """Free rank sum((c(i) - 1) n_i - c(i) + 1) of an adjusted rational variety."""
-    require_adjusted(variety)
+    kind = rationality_class(variety)
     if variety.is_degenerate:
         return 0
-    if not rationality_class(variety).is_rational:
+    if not kind.is_rational:
         raise NotRationalError("the rank formula needs a rational variety")
-    counts = component_counts(variety)
+    return _free_rank(variety)
+
+
+def _free_rank(variety: TrinomialVariety) -> int:
+    """n_tilde of a variety known to be adjusted, rational and not degenerate."""
     return sum(
-        (c - 1) * len(block) - c + 1 for c, block in zip(counts, variety.blocks)
+        (c - 1) * len(block) - c + 1 for c, block in zip(variety._counts, variety.blocks)
     )
 
 
@@ -95,20 +98,17 @@ def class_group_formula(variety: TrinomialVariety) -> ClassGroup:
     Degenerate data is an affine space with trivial group.  Non-rational
     input returns the NOT_FINITELY_GENERATED marker.
     """
-    require_adjusted(variety)
-    if variety.is_degenerate:
-        return TRIVIAL_GROUP
     kind = rationality_class(variety)
     if kind.is_factorial:
         return TRIVIAL_GROUP
     gcds = variety.block_gcds()
     if kind.kind is RationalityKind.CASE_II:
         factors = [g for g in gcds[2:] for _ in range(kind.c - 1)]
-        return canonical_group(factors, n_tilde(variety))
+        return canonical_group(factors, _free_rank(variety))
     if kind.kind is RationalityKind.CASE_III:
         factors = [gcds[0] * gcds[1] * gcds[2] // 4]
         factors += [g for g in gcds[3:] for _ in range(3)]
-        return canonical_group(factors, n_tilde(variety))
+        return canonical_group(factors, _free_rank(variety))
     return NOT_FINITELY_GENERATED
 
 
@@ -125,10 +125,9 @@ def rank_formula(variety: TrinomialVariety) -> int:
 
 
 def _require_rational_nonfactorial(variety: TrinomialVariety) -> RationalityClass:
-    require_adjusted(variety)
+    kind = rationality_class(variety)
     if variety.is_degenerate:
         raise FactorialInputError("degenerate data is an affine space, hence factorial")
-    kind = rationality_class(variety)
     if not kind.is_rational:
         raise NotRationalError("the class group is not finitely generated")
     if kind.is_factorial:
@@ -298,7 +297,6 @@ def predicates(variety: TrinomialVariety) -> ClassGroupPredicates:
     vanishing set stays prime contribute no free part regardless of their
     size), and the torsion is cyclic in case II iff c = 2.
     """
-    require_adjusted(variety)
     kind = rationality_class(variety)
     gcds = variety.block_gcds()
     descending = sorted(gcds, reverse=True)
@@ -311,7 +309,7 @@ def predicates(variety: TrinomialVariety) -> ClassGroupPredicates:
         crit_finite = False
         crit_cyclic = None
     else:
-        counts = component_counts(variety)
+        counts = variety._counts
         zero_rank = all(
             c == 1 or len(block) == 1 for c, block in zip(counts, variety.blocks)
         )
@@ -431,7 +429,6 @@ def class_group_report(
     With method BOTH the formula and Smith-normal-form routes are both run
     and must agree (OracleMismatchError otherwise).
     """
-    require_adjusted(variety)
     kind = rationality_class(variety)
     if not kind.is_rational:
         return ClassGroupReport(NOT_FINITELY_GENERATED, method, None, None, None)

@@ -56,7 +56,7 @@ from .errors import (
 )
 from .exactlinalg import FgAbelianGroup, IntMatrix
 from .selftest import run_selftest
-from .type1 import Type1Variety, adjust_type1, class_group_type1, lift_to_type2, validate_type1
+from .type1 import Type1Variety, adjust_type1, class_group_type1, lift_to_type2
 from .variety import (
     TrinomialVariety,
     adjust,
@@ -64,7 +64,6 @@ from .variety import (
     dimension,
     rationality_class,
     render_relations,
-    validate,
 )
 
 EXIT_OK = 0
@@ -99,8 +98,8 @@ class VarietySpec:
 
     def to_variety(self) -> Union[TrinomialVariety, Type1Variety]:
         if self.kind == "trinomial":
-            return validate(TrinomialVariety(self.blocks, self.m, self.theta))
-        return validate_type1(Type1Variety(self.blocks, self.m, self.theta))
+            return TrinomialVariety(self.blocks, self.m, self.theta)
+        return Type1Variety(self.blocks, self.m, self.theta)
 
     def echo(self) -> dict:
         return {

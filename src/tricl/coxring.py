@@ -23,15 +23,7 @@ from .errors import (
     OracleMismatchError,
 )
 from .exactlinalg import FgAbelianGroup, IntMatrix, is_saturated_sublattice, matrix_A, matrix_B
-from .variety import (
-    TrinomialVariety,
-    adjust,
-    component_counts,
-    exponent_matrix,
-    rationality_class,
-    require_adjusted,
-    validate,
-)
+from .variety import TrinomialVariety, adjust, exponent_matrix, rationality_class
 
 
 def _block_offsets(variety: TrinomialVariety) -> list[int]:
@@ -67,7 +59,6 @@ def _p1_rows(variety: TrinomialVariety) -> IntMatrix:
 
 def p1_matrix(variety: TrinomialVariety) -> IntMatrix:
     """Scaled exponent matrix of an adjusted, rational, non-factorial variety."""
-    require_adjusted(variety)
     kind = rationality_class(variety)
     if not kind.is_rational:
         raise NotRationalError("the scaled exponent matrix needs a rational variety")
@@ -103,7 +94,6 @@ def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
     each source block i contributes c(i) copies of the vector of column gcds
     of the scaled exponent matrix; the free-variable count m is preserved.
     """
-    require_adjusted(variety)
     kind = rationality_class(variety)
     if not kind.is_rational:
         raise NotRationalError("the total coordinate space needs a rational variety")
@@ -126,7 +116,7 @@ def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
         )
 
     p1 = _p1_rows(variety)
-    counts = component_counts(variety)
+    counts = variety._counts
     offsets = _block_offsets(variety)
     grouped = []
     for i, block in enumerate(variety.blocks):
@@ -192,9 +182,8 @@ def is_hyperplatonic(variety: TrinomialVariety) -> Optional[PlatonicTriple]:
 
     Evaluated in exact rational arithmetic.  Both the inequality and the
     triple (the three largest block gcds, padded with 1s below three blocks)
-    are invariant under adjustment, so any valid variety is accepted.
+    are invariant under adjustment, so any variety is accepted.
     """
-    validate(variety)
     gcds = variety.block_gcds()
     threshold = len(variety.blocks) - 2  # r - 1
     if sum(Fraction(1, g) for g in gcds) <= threshold:
@@ -285,13 +274,13 @@ def iterate_cox_rings(variety: TrinomialVariety) -> IterationChain:
     """
     from .classgroup import class_group_formula  # deferred: classgroup imports us
 
-    current = adjust(validate(variety))[0]
-    if not rationality_class(current).is_rational:
+    current = adjust(variety)[0]
+    if not current._rationality.is_rational:
         raise NotRationalError("iteration needs a rational variety")
 
     steps: list[IterationStep] = []
     while True:
-        kind = rationality_class(current)
+        kind = current._rationality
         triple = is_hyperplatonic(current)
         if not kind.is_factorial and triple is None:
             raise IterationNotAdmittedError(
@@ -354,7 +343,7 @@ class DuvalDiagram:
 
 def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
     """Build and verify the surface correspondence for a hyperplatonic variety."""
-    adjusted = adjust(validate(variety))[0]
+    adjusted = adjust(variety)[0]
     x_triple = is_hyperplatonic(adjusted)
     if x_triple is None:
         raise NotHyperplatonicError(

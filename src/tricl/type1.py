@@ -12,19 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .classgroup import NOT_FINITELY_GENERATED, ClassGroup
-from .errors import (
-    DuplicateThetaError,
-    EmptyBlockError,
-    InvalidVarietyError,
-    NonPositiveExponentError,
-    NotAdjustedError,
-)
+from .errors import NotAdjustedError
 from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup
-from .variety import GENERIC_THETA, TrinomialVariety, _coerce_blocks, _coerce_theta
+from .variety import TrinomialVariety, _check_fields, _coerce_fields
 
 
 @dataclass(frozen=True)
@@ -32,7 +25,9 @@ class Type1Variety:
     """Exponent blocks l_1..l_r, free variables, coefficients with theta_1 = 1.
 
     Fewer than two blocks leave no relation and describe an affine space
-    (flagged degenerate, trivial class group).
+    (flagged degenerate, trivial class group).  Construction checks the data
+    as `TrinomialVariety` does, with r - 1 coefficients of which the first
+    is 1 (or generic).
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -40,9 +35,8 @@ class Type1Variety:
     theta: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", _coerce_blocks(self.blocks))
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "theta", _coerce_theta(self.theta))
+        _coerce_fields(self)
+        _check_fields(self, max(len(self.blocks) - 1, 0), fixed_first=True)
 
     @property
     def r(self) -> int:
@@ -60,31 +54,6 @@ class Type1Variety:
         return tuple(math.gcd(*block) for block in self.blocks)
 
 
-def validate_type1(variety: Type1Variety) -> Type1Variety:
-    for index, block in enumerate(variety.blocks):
-        if not block:
-            raise EmptyBlockError(f"block {index} is empty")
-        if any(e < 1 for e in block):
-            raise NonPositiveExponentError(f"block {index} has a non-positive exponent: {block}")
-    if variety.m < 0:
-        raise InvalidVarietyError("m must be nonnegative")
-    if variety.theta is not None:
-        expected = max(len(variety.blocks) - 1, 0)
-        if len(variety.theta) != expected:
-            raise InvalidVarietyError(
-                f"expected {expected} coefficients for {len(variety.blocks)} blocks, "
-                f"got {len(variety.theta)}"
-            )
-        if variety.theta and variety.theta[0] not in (GENERIC_THETA, Fraction(1)):
-            raise InvalidVarietyError("the first coefficient is fixed to 1")
-        exact = [t for t in variety.theta if isinstance(t, Fraction)]
-        if any(t == 0 for t in exact):
-            raise InvalidVarietyError("coefficients must be nonzero")
-        if len(set(exact)) != len(exact):
-            raise DuplicateThetaError("coefficients must be pairwise different")
-    return variety
-
-
 def adjust_type1(variety: Type1Variety) -> Type1Variety:
     """Sort blocks by gcd descending and strip linear single-variable blocks.
 
@@ -92,7 +61,6 @@ def adjust_type1(variety: Type1Variety) -> Type1Variety:
     deleted block removes one relation; with fewer than two blocks left the
     data is degenerate.  Coefficients are reset to generic placeholders.
     """
-    validate_type1(variety)
     work = [(index, block) for index, block in enumerate(variety.blocks)]
     while len(work) >= 2 and any(block == (1,) for _, block in work):
         position = next(i for i, (_, block) in enumerate(work) if block == (1,))
@@ -102,7 +70,6 @@ def adjust_type1(variety: Type1Variety) -> Type1Variety:
 
 
 def is_adjusted_type1(variety: Type1Variety) -> bool:
-    validate_type1(variety)
     if variety.is_degenerate:
         return True
     if any(block == (1,) for block in variety.blocks):

@@ -10,6 +10,11 @@ and m extra free variables S_1..S_m may be present.  All invariants computed
 downstream depend only on the exponent data, so coefficients are carried as
 exact rationals or generic placeholders and never enter any group
 computation.
+
+Variety values are checked when they are constructed: invalid data raises
+an `InvalidVarietyError` subclass there, so every existing value is valid.
+Each value computes its block gcds, its adjustedness, its rationality class
+and its component counts at most once, on first use.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import (
@@ -35,10 +41,6 @@ Theta = Union[Fraction, str]
 GENERIC_THETA = "generic"
 
 
-def _coerce_blocks(blocks) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in block) for block in blocks)
-
-
 def _coerce_theta(theta) -> Optional[tuple[Theta, ...]]:
     if theta is None:
         return None
@@ -53,6 +55,67 @@ def _coerce_theta(theta) -> Optional[tuple[Theta, ...]]:
     return tuple(out)
 
 
+def _coerce_fields(value) -> None:
+    """Normalise the blocks, m and theta of a frozen variety value in place."""
+    object.__setattr__(value, "blocks", tuple(tuple(int(x) for x in b) for b in value.blocks))
+    object.__setattr__(value, "m", int(value.m))
+    object.__setattr__(value, "theta", _coerce_theta(value.theta))
+
+
+def _check_fields(value, expected_theta: int, fixed_first: bool = False) -> None:
+    """Structural checks shared by every variety family.
+
+    `expected_theta` is the number of coefficients the family carries for
+    these blocks; `fixed_first` requires the first coefficient to be 1.
+    Raises EmptyBlockError, NonPositiveExponentError, DuplicateThetaError or
+    InvalidVarietyError.
+    """
+    for index, block in enumerate(value.blocks):
+        if not block:
+            raise EmptyBlockError(f"block {index} is empty")
+        if any(e < 1 for e in block):
+            raise NonPositiveExponentError(f"block {index} has a non-positive exponent: {block}")
+    if value.m < 0:
+        raise InvalidVarietyError("m must be nonnegative")
+    if value.theta is None:
+        return
+    if len(value.theta) != expected_theta:
+        raise InvalidVarietyError(
+            f"expected {expected_theta} coefficients for {len(value.blocks)} blocks, "
+            f"got {len(value.theta)}"
+        )
+    if fixed_first and value.theta and value.theta[0] not in (GENERIC_THETA, Fraction(1)):
+        raise InvalidVarietyError("the first coefficient is fixed to 1")
+    exact = [t for t in value.theta if isinstance(t, Fraction)]
+    if any(t == 0 for t in exact):
+        raise InvalidVarietyError("coefficients must be nonzero")
+    if len(set(exact)) != len(exact):
+        raise DuplicateThetaError("coefficients must be pairwise different")
+
+
+class RationalityKind(enum.Enum):
+    FACTORIAL = "factorial"
+    CASE_II = "case_ii"
+    CASE_III = "case_iii"
+    NON_RATIONAL = "non_rational"
+
+
+@dataclass(frozen=True)
+class RationalityClass:
+    """Outcome of the rationality test on an adjusted variety."""
+
+    kind: RationalityKind
+    c: Optional[int] = None  # gcd(L0, L1) in case II
+
+    @property
+    def is_rational(self) -> bool:
+        return self.kind is not RationalityKind.NON_RATIONAL
+
+    @property
+    def is_factorial(self) -> bool:
+        return self.kind is RationalityKind.FACTORIAL
+
+
 @dataclass(frozen=True)
 class TrinomialVariety:
     """Exponent blocks l_0..l_r, free-variable count m, optional coefficients.
@@ -60,7 +123,13 @@ class TrinomialVariety:
     ``theta`` holds the r-2 relation coefficients as exact `Fraction`s or the
     string ``"generic"`` (pairwise different nonzero values chosen abstractly).
     Fewer than three blocks describe an affine space; such data is flagged
-    degenerate rather than rejected.
+    degenerate rather than rejected.  Construction raises EmptyBlockError,
+    NonPositiveExponentError, DuplicateThetaError or InvalidVarietyError on
+    invalid data.
+
+    The underscored cached properties hold the analysis of the value.  The
+    rationality class and component counts are meaningful only for adjusted
+    data; `rationality_class` and `component_counts` check that first.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -68,9 +137,8 @@ class TrinomialVariety:
     theta: Optional[tuple[Theta, ...]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", _coerce_blocks(self.blocks))
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "theta", _coerce_theta(self.theta))
+        _coerce_fields(self)
+        _check_fields(self, max(len(self.blocks) - 3, 0))
 
     @property
     def r(self) -> int:
@@ -92,34 +160,71 @@ class TrinomialVariety:
         return len(self.blocks) < 3
 
     def block_gcds(self) -> tuple[int, ...]:
+        return self._gcds
+
+    @cached_property
+    def _gcds(self) -> tuple[int, ...]:
         return tuple(math.gcd(*block) for block in self.blocks)
 
+    @cached_property
+    def _adjusted(self) -> bool:
+        if self.is_degenerate:
+            return True
+        if any(block == (1,) for block in self.blocks):
+            return False
+        gcds = self._gcds
+        head = math.gcd(gcds[0], gcds[1])
+        pairs = (
+            math.gcd(gcds[i], gcds[j])
+            for i in range(len(gcds))
+            for j in range(i + 1, len(gcds))
+        )
+        if any(head < p for p in pairs):
+            return False
+        tail = [math.gcd(gcds[0], gcds[j]) for j in range(2, len(gcds))]
+        return all(a >= b for a, b in zip(tail, tail[1:]))
 
-def validate(variety: TrinomialVariety) -> TrinomialVariety:
-    """Check structural invariants; returns the variety unchanged.
+    @cached_property
+    def _rationality(self) -> RationalityClass:
+        if self.is_degenerate:
+            return RationalityClass(RationalityKind.FACTORIAL)
+        gcds = self._gcds
+        count = len(gcds)
 
-    Raises EmptyBlockError, NonPositiveExponentError or DuplicateThetaError.
-    """
-    for index, block in enumerate(variety.blocks):
-        if not block:
-            raise EmptyBlockError(f"block {index} is empty")
-        if any(e < 1 for e in block):
-            raise NonPositiveExponentError(f"block {index} has a non-positive exponent: {block}")
-    if variety.m < 0:
-        raise InvalidVarietyError("m must be nonnegative")
-    if variety.theta is not None:
-        expected = max(len(variety.blocks) - 3, 0)
-        if len(variety.theta) != expected:
-            raise InvalidVarietyError(
-                f"expected {expected} coefficients for {len(variety.blocks)} blocks, "
-                f"got {len(variety.theta)}"
-            )
-        exact = [t for t in variety.theta if isinstance(t, Fraction)]
-        if any(t == 0 for t in exact):
-            raise InvalidVarietyError("coefficients must be nonzero")
-        if len(set(exact)) != len(exact):
-            raise DuplicateThetaError("coefficients must be pairwise different")
-    return variety
+        def pair(i: int, j: int) -> int:
+            return math.gcd(gcds[i], gcds[j])
+
+        others_coprime_outside = all(
+            pair(i, j) == 1
+            for i in range(count)
+            for j in range(i + 1, count)
+            if j >= 2
+        )
+        if pair(0, 1) == 1 and others_coprime_outside:
+            return RationalityClass(RationalityKind.FACTORIAL)
+        if pair(0, 1) > 1 and others_coprime_outside:
+            return RationalityClass(RationalityKind.CASE_II, pair(0, 1))
+        outside_012 = all(
+            pair(i, j) == 1
+            for i in range(count)
+            for j in range(i + 1, count)
+            if j >= 3
+        )
+        if pair(0, 1) == pair(0, 2) == pair(1, 2) == 2 and outside_012:
+            return RationalityClass(RationalityKind.CASE_III)
+        return RationalityClass(RationalityKind.NON_RATIONAL)
+
+    @cached_property
+    def _counts(self) -> tuple[int, ...]:
+        gcds = self._gcds
+        c0 = math.gcd(gcds[1], gcds[2])
+        c1 = math.gcd(gcds[0], gcds[2])
+        c2 = math.gcd(gcds[0], gcds[1])
+        small = math.gcd(gcds[0], gcds[1], gcds[2])
+        product = c0 * c1 * c2
+        assert product % small == 0, "component count is not integral"
+        high = product // small
+        return (c0, c1, c2) + (high,) * (len(gcds) - 3)
 
 
 def _block_key(block: tuple[int, ...], original_index: int) -> tuple[int, int, int]:
@@ -153,56 +258,49 @@ def adjust(variety: TrinomialVariety) -> tuple[TrinomialVariety, AdjustmentRecor
     L_i and gcd(L0, L2) >= gcd(L0, L3) >= ... holds; among valid orderings the
     lexicographically smallest key sequence (L_i descending, then n_i
     descending, then original index) is chosen, so the result is
-    deterministic.  If fewer than three blocks survive the result is flagged
-    degenerate.
+    deterministic.  That ordering is built directly: the leading block is
+    the lowest-key block of a maximal-gcd pair, the second is its
+    lowest-key maximal-gcd partner, and the rest follow by gcd with the
+    leading block descending, then by key.  If fewer than three blocks
+    survive the result is flagged degenerate.
 
     Reordering and elimination rewire the relations, so exact coefficients
     cannot be carried along; they are reset to generic placeholders with a
     warning.
     """
-    validate(variety)
-    work = [(index, block) for index, block in enumerate(variety.blocks)]
-
+    work = list(enumerate(variety.blocks))
     eliminated: list[int] = []
     while len(work) >= 3 and any(block == (1,) for _, block in work):
         position = next(i for i, (_, block) in enumerate(work) if block == (1,))
         eliminated.append(work.pop(position)[0])
 
-    if len(work) < 3:
-        ordered = sorted(work, key=lambda item: _block_key(item[1], item[0]))
-        record = AdjustmentRecord(tuple(eliminated), tuple(i for i, _ in ordered), True)
-        adjusted = TrinomialVariety(tuple(b for _, b in ordered), variety.m, None)
-        _warn_if_theta_dropped(variety)
-        return adjusted, record
+    ordered = sorted(work, key=lambda item: _block_key(item[1], item[0]))
+    degenerate = len(ordered) < 3
+    if not degenerate:
+        gcds = {index: math.gcd(*block) for index, block in ordered}
 
-    gcds = {index: math.gcd(*block) for index, block in work}
-    max_pair = max(
-        math.gcd(gcds[a], gcds[b])
-        for k, (a, _) in enumerate(work)
-        for b, _ in work[k + 1 :]
+        def pair(a, b) -> int:
+            return math.gcd(gcds[a[0]], gcds[b[0]])
+
+        max_pair = max(pair(a, b) for k, a in enumerate(ordered) for b in ordered[k + 1 :])
+        first = next(
+            a for a in ordered if any(b is not a and pair(a, b) == max_pair for b in ordered)
+        )
+        second = next(b for b in ordered if b is not first and pair(first, b) == max_pair)
+        rest = [item for item in ordered if item is not first and item is not second]
+        # The sort is stable, so ties keep their key order.
+        rest.sort(key=lambda item: -pair(first, item))
+        ordered = [first, second] + rest
+
+    record = AdjustmentRecord(tuple(eliminated), tuple(i for i, _ in ordered), degenerate)
+    identity = (
+        not degenerate
+        and not eliminated
+        and record.permutation == tuple(range(len(variety.blocks)))
     )
-
-    best: Optional[list[tuple[int, tuple[int, ...]]]] = None
-    best_keys = None
-    for first, first_block in work:
-        for second, second_block in work:
-            if second == first or math.gcd(gcds[first], gcds[second]) != max_pair:
-                continue
-            rest = [item for item in work if item[0] not in (first, second)]
-            rest.sort(
-                key=lambda item: (-math.gcd(gcds[first], gcds[item[0]]),)
-                + _block_key(item[1], item[0])
-            )
-            candidate = [(first, first_block), (second, second_block)] + rest
-            keys = tuple(_block_key(block, index) for index, block in candidate)
-            if best_keys is None or keys < best_keys:
-                best, best_keys = candidate, keys
-
-    assert best is not None
-    record = AdjustmentRecord(tuple(eliminated), tuple(i for i, _ in best), False)
-    identity = not eliminated and record.permutation == tuple(range(len(variety.blocks)))
-    theta = variety.theta if identity else None
-    adjusted = TrinomialVariety(tuple(b for _, b in best), variety.m, theta)
+    adjusted = TrinomialVariety(
+        tuple(b for _, b in ordered), variety.m, variety.theta if identity else None
+    )
     if not identity:
         _warn_if_theta_dropped(variety)
     return adjusted, record
@@ -223,51 +321,13 @@ def is_adjusted(variety: TrinomialVariety) -> bool:
     Any ordering meeting the gcd constraints counts; the tie-break used by
     `adjust` is not required.  Degenerate data is vacuously adjusted.
     """
-    validate(variety)
-    if variety.is_degenerate:
-        return True
-    if any(block == (1,) for block in variety.blocks):
-        return False
-    gcds = variety.block_gcds()
-    head = math.gcd(gcds[0], gcds[1])
-    pairs = (
-        math.gcd(gcds[i], gcds[j])
-        for i in range(len(gcds))
-        for j in range(i + 1, len(gcds))
-    )
-    if any(head < p for p in pairs):
-        return False
-    tail = [math.gcd(gcds[0], gcds[j]) for j in range(2, len(gcds))]
-    return all(a >= b for a, b in zip(tail, tail[1:]))
+    return variety._adjusted
 
 
 def require_adjusted(variety: TrinomialVariety) -> TrinomialVariety:
-    if not is_adjusted(variety):
+    if not variety._adjusted:
         raise NotAdjustedError(f"variety with blocks {variety.blocks} is not adjusted")
     return variety
-
-
-class RationalityKind(enum.Enum):
-    FACTORIAL = "factorial"
-    CASE_II = "case_ii"
-    CASE_III = "case_iii"
-    NON_RATIONAL = "non_rational"
-
-
-@dataclass(frozen=True)
-class RationalityClass:
-    """Outcome of the rationality test on an adjusted variety."""
-
-    kind: RationalityKind
-    c: Optional[int] = None  # gcd(L0, L1) in case II
-
-    @property
-    def is_rational(self) -> bool:
-        return self.kind is not RationalityKind.NON_RATIONAL
-
-    @property
-    def is_factorial(self) -> bool:
-        return self.kind is RationalityKind.FACTORIAL
 
 
 def rationality_class(variety: TrinomialVariety) -> RationalityClass:
@@ -277,36 +337,9 @@ def rationality_class(variety: TrinomialVariety) -> RationalityClass:
     nontrivial pairwise gcd.  Case III: the three pairwise gcds among blocks
     0, 1, 2 all equal 2 and every other pair is coprime.  Anything else has a
     class group that is not finitely generated.  Degenerate data is an affine
-    space and is reported factorial.
+    space and is reported factorial.  Raises NotAdjustedError otherwise.
     """
-    require_adjusted(variety)
-    if variety.is_degenerate:
-        return RationalityClass(RationalityKind.FACTORIAL)
-    gcds = variety.block_gcds()
-    count = len(gcds)
-
-    def pair(i: int, j: int) -> int:
-        return math.gcd(gcds[i], gcds[j])
-
-    others_coprime_outside = all(
-        pair(i, j) == 1
-        for i in range(count)
-        for j in range(i + 1, count)
-        if j >= 2
-    )
-    if pair(0, 1) == 1 and others_coprime_outside:
-        return RationalityClass(RationalityKind.FACTORIAL)
-    if pair(0, 1) > 1 and others_coprime_outside:
-        return RationalityClass(RationalityKind.CASE_II, pair(0, 1))
-    outside_012 = all(
-        pair(i, j) == 1
-        for i in range(count)
-        for j in range(i + 1, count)
-        if j >= 3
-    )
-    if pair(0, 1) == pair(0, 2) == pair(1, 2) == 2 and outside_012:
-        return RationalityClass(RationalityKind.CASE_III)
-    return RationalityClass(RationalityKind.NON_RATIONAL)
+    return require_adjusted(variety)._rationality
 
 
 @dataclass(frozen=True)
@@ -329,36 +362,24 @@ class BlockInvariants:
 def component_counts(variety: TrinomialVariety) -> tuple[int, ...]:
     """The number of irreducible components c(i) of each coordinate vanishing
     set, for an adjusted rational variety."""
-    require_adjusted(variety)
-    gcds = variety.block_gcds()
-    c0 = math.gcd(gcds[1], gcds[2])
-    c1 = math.gcd(gcds[0], gcds[2])
-    c2 = math.gcd(gcds[0], gcds[1])
-    small = math.gcd(gcds[0], gcds[1], gcds[2])
-    product = c0 * c1 * c2
-    assert product % small == 0, "component count is not integral"
-    high = product // small
-    return (c0, c1, c2) + (high,) * (len(gcds) - 3)
+    return require_adjusted(variety)._counts
 
 
 def block_invariants(variety: TrinomialVariety) -> BlockInvariants:
     """Exact gcd data of the blocks; c(i) only when adjusted and rational."""
-    validate(variety)
     gcds = variety.block_gcds()
     table = tuple(
         tuple(math.gcd(a, b) for b in gcds) for a in gcds
     )
     small = math.gcd(gcds[0], gcds[1], gcds[2]) if len(gcds) >= 3 else None
     c = None
-    if not variety.is_degenerate and is_adjusted(variety):
-        if rationality_class(variety).is_rational:
-            c = component_counts(variety)
+    if not variety.is_degenerate and variety._adjusted and variety._rationality.is_rational:
+        c = variety._counts
     return BlockInvariants(gcds, table, small, c)
 
 
 def dimension(variety: TrinomialVariety) -> int:
     """dim X = n + m - (number of relations); a complete intersection count."""
-    validate(variety)
     return variety.n + variety.m - variety.relation_count
 
 
@@ -368,7 +389,6 @@ def exponent_matrix(variety: TrinomialVariety) -> IntMatrix:
     Row i places -l_0 on block 0 and +l_i on block i; the m free-variable
     columns are zero.  Needs at least two blocks.
     """
-    validate(variety)
     if len(variety.blocks) < 2:
         raise InvalidVarietyError("exponent matrix needs at least two blocks")
     offsets = []
@@ -403,7 +423,6 @@ def render_relations(variety: TrinomialVariety) -> str:
     Coefficients beyond the first relation are shown as their exact value or
     as theta_k placeholders.
     """
-    validate(variety)
     if variety.is_degenerate:
         return ""
     monomials = [_monomial(i, block) for i, block in enumerate(variety.blocks)]

@@ -12,7 +12,6 @@ from tricl.type1 import (
     is_adjusted_type1,
     lift_to_type2,
     type1_n_tilde,
-    validate_type1,
 )
 from tricl.variety import adjust
 
@@ -36,7 +35,7 @@ class TestAdjustType1:
 
     def test_validation(self):
         with pytest.raises(NonPositiveExponentError):
-            validate_type1(T([[2], [0]]))
+            T([[2], [0]])
 
     def test_is_adjusted(self):
         assert not is_adjusted_type1(T([[2], [4]]))

@@ -1,12 +1,15 @@
 """Tests for the variety data model, adjustment and gcd invariants."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import adjust_by_pair_search
+from tricl.cli import DEFAULT_MAX_BLOCK
 from tricl.errors import (
     DuplicateThetaError,
     EmptyBlockError,
@@ -25,7 +28,6 @@ from tricl.variety import (
     is_adjusted,
     rationality_class,
     render_relations,
-    validate,
 )
 
 V = TrinomialVariety
@@ -43,35 +45,37 @@ random_varieties = st.builds(
 
 
 class TestValidate:
+    """Construction checks the data; invalid data never becomes a value."""
+
     def test_quadric_is_valid(self):
-        validate(V([[2], [2], [2]]))
+        V([[2], [2], [2]])
 
     def test_zero_exponent(self):
         with pytest.raises(NonPositiveExponentError):
-            validate(V([[2], [0]]))
+            V([[2], [0]])
 
     def test_remark_hypersurface_is_valid(self):
-        validate(V([[4], [2], [3, 2]]))
+        V([[4], [2], [3, 2]])
 
     def test_empty_block(self):
         with pytest.raises(EmptyBlockError):
-            validate(V([[2], [], [2]]))
+            V([[2], [], [2]])
 
     def test_negative_m(self):
         with pytest.raises(InvalidVarietyError):
-            validate(V([[2], [2], [2]], m=-1))
+            V([[2], [2], [2]], m=-1)
 
     def test_theta_length_and_duplicates(self):
-        validate(V([[2], [2], [2], [3]], theta=[Fraction(2, 3)]))
+        V([[2], [2], [2], [3]], theta=[Fraction(2, 3)])
         with pytest.raises(InvalidVarietyError):
-            validate(V([[2], [2], [2]], theta=["1/2"]))
+            V([[2], [2], [2]], theta=["1/2"])
         with pytest.raises(DuplicateThetaError):
-            validate(V([[2], [2], [2], [3], [5]], theta=["1/2", "1/2"]))
+            V([[2], [2], [2], [3], [5]], theta=["1/2", "1/2"])
         with pytest.raises(InvalidVarietyError):
-            validate(V([[2], [2], [2], [3]], theta=[0]))
+            V([[2], [2], [2], [3]], theta=[0])
 
     def test_generic_theta_tags(self):
-        validate(V([[2], [2], [2], [3], [5]], theta=["generic", "generic"]))
+        V([[2], [2], [2], [3], [5]], theta=["generic", "generic"])
 
 
 class TestInvariants:
@@ -167,6 +171,41 @@ class TestAdjust:
         ]
         assert sorted(survivors) == sorted(adjusted.blocks)
         assert tuple(v.blocks[i] for i in record.permutation) == adjusted.blocks
+
+
+# Acceptance criterion 9: 3 or 4 blocks, n_i <= 2, exponents <= 5.
+BLOCK_CHOICES = [(a,) for a in range(1, 6)] + [(a, b) for a in range(1, 6) for b in range(1, 6)]
+# Exponents whose gcds tie often, so that many blocks share the maximal pair gcd.
+TIE_EXPONENTS = (1, 2, 2, 3, 4, 4, 6, 8, 9, 10, 12, 15)
+
+
+def _seeded_blocks(rng, count):
+    return [
+        (1,) if rng.random() < 0.1
+        else tuple(rng.choice(TIE_EXPONENTS) for _ in range(rng.randint(1, 3)))
+        for _ in range(count)
+    ]
+
+
+class TestAdjustAgainstPairSearch:
+    """`adjust` builds the order that the exhaustive pair search selects."""
+
+    @staticmethod
+    def assert_matches(blocks):
+        _, record = adjust(V(blocks))
+        assert (record.eliminated, record.permutation) == adjust_by_pair_search(blocks), blocks
+
+    def test_criterion_9_enumeration(self):
+        for count in (3, 4):
+            for combo in itertools.combinations_with_replacement(BLOCK_CHOICES, count):
+                self.assert_matches(combo)
+
+    def test_seeded_inputs_up_to_the_block_cap(self):
+        rng = random.Random(20261018)
+        # The cap admits up to DEFAULT_MAX_BLOCK relations, one block more.
+        for count in range(3, DEFAULT_MAX_BLOCK + 2):
+            for _ in range(100):
+                self.assert_matches(_seeded_blocks(rng, count))
 
 
 class TestIsAdjusted:
