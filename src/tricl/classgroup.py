@@ -411,7 +411,10 @@ class ClassGroupReport:
 
     ``rank_check`` pairs the formula rank with the dimension difference
     dim(TCS) - dim(X); the two always agree (enforced).  For non-rational
-    input only ``group`` (the marker) and ``method`` are populated.
+    input only ``group`` (the marker) and ``method`` are populated.  ``snf``
+    is the group the Smith-normal-form route computed, None when that route
+    did not run: method FORMULA, or factorial, degenerate or non-rational
+    input, whose group follows from the rationality class alone.
     """
 
     group: ClassGroup
@@ -419,6 +422,7 @@ class ClassGroupReport:
     n_tilde: Optional[int]
     rank_check: Optional[tuple[int, int]]
     ctors: Optional[FgAbelianGroup]
+    snf: Optional[FgAbelianGroup] = None
 
 
 def class_group_report(
@@ -451,5 +455,5 @@ def class_group_report(
             f"group rank {group.rank} disagrees with the rank formula {rank}"
         )
     return ClassGroupReport(
-        group, method, rank, (rank, rank), compulsory_torsion(variety)
+        group, method, rank, (rank, rank), compulsory_torsion(variety), snf
     )

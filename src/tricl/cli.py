@@ -54,7 +54,7 @@ from .errors import (
     NotRationalError,
     OracleMismatchError,
 )
-from .exactlinalg import FgAbelianGroup, IntMatrix
+from .exactlinalg import IntMatrix
 from .selftest import run_selftest
 from .type1 import Type1Variety, adjust_type1, class_group_type1, lift_to_type2
 from .variety import (
@@ -203,17 +203,12 @@ def _invariants_json(adjusted: TrinomialVariety) -> dict:
 
 def _class_group_json(adjusted: TrinomialVariety, method: GroupMethod) -> dict:
     report = class_group_report(adjusted, method)
-    finitely_generated = isinstance(report.group, FgAbelianGroup)
     return {
         "method": method.value,
         "group": group_json(report.group),
         "formula": group_json(report.group) if method is not GroupMethod.SNF else None,
-        "snf": (
-            group_json(report.group)
-            if method is not GroupMethod.FORMULA and finitely_generated
-            else None
-        ),
-        "agree": True if method is GroupMethod.BOTH and finitely_generated else None,
+        "snf": group_json(report.snf) if report.snf is not None else None,
+        "agree": True if method is GroupMethod.BOTH and report.snf is not None else None,
         "n_tilde": report.n_tilde,
         "rank_check": list(report.rank_check) if report.rank_check else None,
         "compulsory_torsion": group_json(report.ctors) if report.ctors else None,
@@ -468,15 +463,19 @@ def _run_selftest(fmt: str, stream) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # --format is accepted before and after the subcommand; it is left unset
+    # when absent, so that a subcommand does not overwrite the main value.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format",
+        choices=("text", "json"),
+        default=argparse.SUPPRESS,
+        help="output format (identical data either way; default: text)",
+    )
     parser = argparse.ArgumentParser(
         prog="tricl",
         description="Exact divisor class groups and Cox ring iteration for trinomial varieties.",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (identical data either way)",
+        parents=[common],
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -492,12 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("report", "everything applicable to the input"),
     )
     for name, help_text in file_commands:
-        sub = subparsers.add_parser(name, help=help_text)
+        sub = subparsers.add_parser(name, help=help_text, parents=[common])
         sub.add_argument("paths", nargs="+", metavar="PATH", help="JSON files or directories")
-        sub.add_argument(
-            "--format", dest="format_after", choices=("text", "json"), default=None,
-            help=argparse.SUPPRESS,
-        )
         if name in ("classgroup", "report"):
             sub.add_argument(
                 "--method",
@@ -506,18 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
                 help="group computation route (default: both, cross-checked)",
             )
 
-    selftest = subparsers.add_parser("selftest", help="run the golden example corpus")
-    selftest.add_argument(
-        "--format", dest="format_after", choices=("text", "json"), default=None,
-        help=argparse.SUPPRESS,
-    )
+    subparsers.add_parser("selftest", help="run the golden example corpus", parents=[common])
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     stream = sys.stdout
-    fmt = args.format_after or args.format
+    fmt = getattr(args, "format", "text")
 
     if args.command == "selftest":
         return _run_selftest(fmt, stream)

@@ -83,6 +83,30 @@ class TestSubcommands:
         assert payload["class_group"]["group"]["pretty"] == "Z^2 x Z/2"
         assert payload["class_group"]["agree"] is True
 
+    @pytest.mark.parametrize("blocks", [[[5], [3], [2]], [[2], [1], [2]]])
+    def test_classgroup_skipped_snf_is_null(self, tmp_path, capsys, blocks):
+        # factorial and degenerate input: the group follows without SNF
+        path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": blocks})
+        code, out, _ = run_cli(capsys, "--format", "json", "classgroup", path)
+        assert code == EXIT_OK
+        payload = json.loads(out)["class_group"]
+        assert payload["group"]["pretty"] == "0"
+        assert payload["formula"]["pretty"] == "0"
+        assert payload["snf"] is None
+        assert payload["agree"] is None
+
+    def test_format_before_or_after_the_subcommand(self, tmp_path, capsys):
+        path = write_spec(
+            tmp_path, "v.json", {"kind": "trinomial", "blocks": [[2, 4], [2], [2, 6]]}
+        )
+        before = run_cli(capsys, "--format", "json", "report", path)
+        after = run_cli(capsys, "report", "--format", "json", path)
+        assert before == after
+        assert json.loads(before[1])["class_group"]["group"]["pretty"] == "Z^2 x Z/2"
+        text = run_cli(capsys, "report", path)
+        assert text[0] == EXIT_OK and text[1] != before[1]
+        assert run_cli(capsys, "--format", "text", "report", path) == text
+
     def test_classgroup_not_finitely_generated_exits_3(self, tmp_path, capsys):
         path = write_spec(
             tmp_path, "v.json", {"kind": "trinomial", "blocks": [[6], [3], [4]]}
