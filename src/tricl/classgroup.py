@@ -12,6 +12,11 @@ with nt = sum_i (c(i) - 1)(n_i - 1).  The independent route presents the
 group as the cokernel of an explicit grading matrix over the total
 coordinate space generators and reads it off a Smith normal form.  Both
 routes are exposed and their agreement is the library's central invariant.
+
+The formula route is not free of Smith forms: `class_group_report` also
+computes `compulsory_torsion`, which cross-checks its closed form against
+the cokernel of an exponent matrix.  Factorial and degenerate input needs
+neither route; its group is trivial by the rationality class.
 """
 
 from __future__ import annotations

@@ -9,10 +9,15 @@ Input files are JSON objects with the schema
 
 Subcommands accept one or more files or directories (a directory is the
 batch of its *.json files); failure in one input never aborts the others.
-Output goes to stdout as indented text or, with --format json, as one JSON
-object per input.  Exit codes: 0 success, 2 invalid input, 3 class group not
-finitely generated where a group was demanded, 4 iteration/diagram not
-admitted, 5 internal cross-check mismatch.
+Output goes to stdout as indented text or, with --format json (before or
+after the subcommand), as one JSON object per input.  Exit codes: 0
+success, 2 invalid input, 3 class group not finitely generated where a
+group was demanded, 4 iteration/diagram not admitted, 5 internal
+cross-check mismatch.
+
+Variety data is checked when the variety is constructed; structural errors
+exit 2.  With --method formula no Smith form presents the class group, but
+the compulsory torsion is still cross-checked through one.
 
 The environment variable TRICL_MAX_BLOCK (default 16) caps the number of
 relations and the block sizes to guard against accidentally huge inputs.
