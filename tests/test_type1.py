@@ -3,7 +3,12 @@
 import pytest
 
 from tricl.classgroup import NOT_FINITELY_GENERATED, class_group_formula
-from tricl.errors import NonPositiveExponentError, NotAdjustedError
+from tricl.errors import (
+    DuplicateThetaError,
+    InvalidVarietyError,
+    NonPositiveExponentError,
+    NotAdjustedError,
+)
 from tricl.exactlinalg import FgAbelianGroup
 from tricl.type1 import (
     Type1Variety,
@@ -36,6 +41,17 @@ class TestAdjustType1:
     def test_validation(self):
         with pytest.raises(NonPositiveExponentError):
             T([[2], [0]])
+
+    def test_theta_rules(self):
+        # r - 1 coefficients, the first fixed to 1
+        T([[2], [2], [3]], theta=["1", "1/2"])
+        T([[2], [2]], theta=["generic"])
+        with pytest.raises(InvalidVarietyError, match="expected 1 coefficients"):
+            T([[2], [2]], theta=[])
+        with pytest.raises(InvalidVarietyError, match="fixed to 1"):
+            T([[2], [2], [3]], theta=["2", "2"])
+        with pytest.raises(DuplicateThetaError):
+            T([[2], [2], [3], [5]], theta=["1", "1/2", "1/2"])
 
     def test_is_adjusted(self):
         assert not is_adjusted_type1(T([[2], [4]]))
