@@ -202,7 +202,7 @@ class TestAdjustAgainstPairSearch:
 
     def test_seeded_inputs_up_to_the_block_cap(self):
         rng = random.Random(20261018)
-        # The cap admits up to DEFAULT_MAX_BLOCK relations, one block more.
+        # The CLI admits len(blocks) - 1 <= DEFAULT_MAX_BLOCK, so up to 17 blocks.
         for count in range(3, DEFAULT_MAX_BLOCK + 2):
             for _ in range(100):
                 self.assert_matches(_seeded_blocks(rng, count))
