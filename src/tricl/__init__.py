@@ -29,14 +29,12 @@ from .exactlinalg import (
     block_diagonal,
     canonical_group,
     cokernel,
-    determinantal_divisor,
     element_order_in_cokernel,
     hermite_basis,
     is_saturated_sublattice,
     matrix_A,
     matrix_B,
     smith_invariants,
-    smith_with_transforms,
 )
 from .variety import (
     AdjustmentRecord,

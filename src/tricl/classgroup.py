@@ -189,7 +189,11 @@ def grading_matrix(variety: TrinomialVariety) -> IntMatrix:
     have degree zero and contribute no columns.
     """
     kind = _require_rational_nonfactorial(variety)
-    cox = total_coordinate_space(variety)
+    return _grading_rows(kind, total_coordinate_space(variety))
+
+
+def _grading_rows(kind: RationalityClass, cox: CoxConstruction) -> IntMatrix:
+    """`grading_matrix` of the variety whose total coordinate space is `cox`."""
     if kind.kind is RationalityKind.CASE_II:
         return block_diagonal(
             [matrix_A(cox.c[i], copies[0]) for i, copies in enumerate(cox.tcs_blocks)]
@@ -228,12 +232,12 @@ def class_group_snf(variety: TrinomialVariety) -> FgAbelianGroup:
     return cokernel(grading_matrix(variety))
 
 
-def _leading_block_vector(cox: CoxConstruction, exponents) -> list[int]:
-    """Vector supported on the (0, 1, j) columns with the given entries."""
-    vector = [0] * cox.n_prime
-    for j, e in enumerate(exponents):
-        vector[j] = e  # block 0, copy 1 occupies the first columns
-    return vector
+def _leading_block_vector(n_prime: int, exponents) -> list[int]:
+    """Vector of length n_prime supported on the (0, 1, j) columns.
+
+    Block 0, copy 1 occupies the first columns of the grading matrix.
+    """
+    return list(exponents) + [0] * (n_prime - len(exponents))
 
 
 def relation_degree_order(variety: TrinomialVariety) -> int:
@@ -245,8 +249,8 @@ def relation_degree_order(variety: TrinomialVariety) -> int:
     """
     kind = _require_rational_nonfactorial(variety)
     cox = total_coordinate_space(variety)
-    matrix = grading_matrix(variety)
-    vector = _leading_block_vector(cox, cox.tcs_blocks[0][0])
+    matrix = _grading_rows(kind, cox)
+    vector = _leading_block_vector(matrix.cols, cox.tcs_blocks[0][0])
     order = element_order_in_cokernel(matrix, vector)
     expected = 1 if kind.kind is RationalityKind.CASE_II else 2
     if order != expected:
@@ -268,9 +272,8 @@ def cyclic_subgroup_order(variety: TrinomialVariety, y: int) -> int:
     frak_l0 = variety.block_gcds()[0]
     if y < 1 or frak_l0 % y:
         raise ValueError(f"y={y} does not divide the leading block gcd {frak_l0}")
-    cox = total_coordinate_space(variety)
     matrix = grading_matrix(variety)
-    vector = _leading_block_vector(cox, [e // y for e in variety.blocks[0]])
+    vector = _leading_block_vector(matrix.cols, [e // y for e in variety.blocks[0]])
     order = element_order_in_cokernel(matrix, vector)
     if order != y:
         raise OracleMismatchError(f"cyclic subgroup has order {order}, expected {y}")

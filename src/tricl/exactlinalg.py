@@ -1,22 +1,43 @@
 """Exact linear algebra over the integers.
 
 Everything in this module works with plain Python integers, so results stay
-exact no matter how large intermediate values grow.  Matrices are immutable
-value objects and every operation is a pure function, which makes the whole
-module safe to use from multiple threads.
+exact.  Matrices are immutable value objects and every operation is a pure
+function, which makes the whole module safe to use from multiple threads.
 
-The heart of the module is Smith normal form (`smith_invariants`,
-`smith_with_transforms`) together with the constructions built on top of it:
-cokernels presented as finitely generated abelian groups, brute-force
-determinantal divisors (the independent oracle for the Smith chain), Hermite
-lattice bases, and the saturated-sublattice test.
+The heart of the module is `smith_invariants`, the rank and invariant
+factors of an integer matrix, together with the constructions built on top
+of it: cokernels presented as finitely generated abelian groups, Hermite
+lattice bases, element orders in a cokernel and the saturated-sublattice
+test.
+
+Smith invariants are computed with bounded entry growth.  Integer
+elimination that divides by its pivots can blow up: intermediate entries of
+the case-III grading matrices reached hundreds of thousands of bits
+(Havas, Majewski and Matthews, Exp. Math. 7, 1998).  Instead:
+
+* The matrix is split into its connected blocks (rows linked by shared
+  nonzero columns); the invariants of a direct sum are those of its blocks.
+* Per block, fraction-free (Bareiss) elimination gives the rank r and a
+  nonzero r x r minor D.  Its entries are minors, so they stay below the
+  Hadamard bound.  Its first pivots, all +-1, are plain Gaussian steps and
+  leave a smaller core with the same invariant factors apart from 1s.
+* The core is diagonalised over Z/DZ, every entry reduced mod D
+  (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, A Course
+  in Computational Algebraic Number Theory, 2.4).  Every invariant factor
+  divides D, and the quotient by L + D Z^n is the torsion plus one Z/D for
+  each free generator; those copies are dropped.
+* A diagonal is turned into the invariant-factor chain by gcd/lcm
+  exchanges, as `canonical_group` does for its factors.
+
+Pivots are chosen by Markowitz cost (fill-in), so the sparse grading and
+exponent matrices stay sparse.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 
@@ -68,11 +89,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
-    @classmethod
-    def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
-        n = len(values)
-        return cls(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -123,16 +139,15 @@ class IntMatrix:
 
 def block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
     """Block-diagonal assembly of the given matrices."""
-    rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    out = [[0] * cols for _ in range(rows)]
-    i0 = j0 = 0
+    entries: list[int] = []
+    j0 = 0
     for b in blocks:
+        left, right = (0,) * j0, (0,) * (cols - j0 - b.cols)
         for i in range(b.rows):
-            out[i0 + i][j0 : j0 + b.cols] = list(b.row(i))
-        i0 += b.rows
+            entries += left + b.row(i) + right
         j0 += b.cols
-    return IntMatrix.from_rows(out, cols)
+    return IntMatrix(sum(b.rows for b in blocks), cols, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -201,7 +216,6 @@ TRIVIAL_GROUP = FgAbelianGroup(0, ())
 class SmithData:
     """Rank and invariant factors (1s included) of an integer matrix."""
 
-    source: IntMatrix
     rank: int
     invariant_factors: tuple[int, ...]
 
@@ -210,122 +224,349 @@ class SmithData:
             raise ValueError("number of invariant factors must equal the rank")
 
 
-def _smith_eliminate(work: list[list[int]], rows: int, cols: int,
-                     u: Optional[list[list[int]]] = None,
-                     v: Optional[list[list[int]]] = None) -> list[int]:
-    """Diagonalize `work` in place by unimodular row/column operations.
+# Sparse rows: {column: nonzero entry}.  Columns keep their index in the
+# input matrix, so a block's columns need not be contiguous.
+SparseRow = dict[int, int]
 
-    Returns the list of positive diagonal entries (a divisibility chain).
-    When given, `u` and `v` accumulate the row respectively column operations,
-    so that u_final @ M @ v_final equals the diagonal result.
 
-    Pivot choice: the minimal-absolute-value nonzero entry of the trailing
-    submatrix, located by a row-major scan, so runs are reproducible.
+def _connected_blocks(rows: list[SparseRow]) -> list[list[SparseRow]]:
+    """`rows` grouped into connected blocks.
+
+    Two rows are in one block when a chain of shared columns links them, so
+    after permuting rows and columns the matrix is the direct sum of its
+    blocks (and of zero columns, which carry no torsion).
     """
+    parent: dict[int, int] = {}
 
-    def swap_rows(a: int, b: int) -> None:
-        work[a], work[b] = work[b], work[a]
-        if u is not None:
-            u[a], u[b] = u[b], u[a]
+    def find(j: int) -> int:
+        root = parent.setdefault(j, j)
+        while root != parent[root]:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        return root
 
-    def swap_cols(a: int, b: int) -> None:
+    for row in rows:
+        columns = iter(row)
+        root = find(next(columns))
+        for j in columns:
+            other = find(j)
+            if other != root:
+                parent[other] = root
+    blocks: dict[int, list[SparseRow]] = {}
+    for row in rows:
+        blocks.setdefault(find(next(iter(row))), []).append(row)
+    return list(blocks.values())
+
+
+def _column_counts(rows: list[SparseRow]) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for row in rows:
+        for j in row:
+            counts[j] = counts.get(j, 0) + 1
+    return counts
+
+
+def _pivot(rows: list[SparseRow], counts: dict[int, int], one: int, minus_one: int) -> tuple[int, int, bool]:
+    """(row index, column, is a unit) of the next pivot among `rows`.
+
+    The shortest row holding a unit (`one` or `minus_one`), or else the
+    shortest row; in it, the unit (or entry) whose column has the fewest
+    entries.  This keeps the Markowitz fill-in cost low, and a unit in a
+    singleton row or column costs no fill at all.
+    """
+    best, size = -1, 0
+    for i, row in enumerate(rows):
+        if best < 0 or len(row) < size:
+            values = row.values()
+            if one in values or minus_one in values:
+                best, size = i, len(row)
+                if size == 1:
+                    break
+    unit = best >= 0
+    if unit:
+        candidates = [j for j, x in rows[best].items() if x == one or x == minus_one]
+    else:
+        sizes = list(map(len, rows))
+        best = sizes.index(min(sizes))
+        candidates = list(rows[best])
+    return best, min(candidates, key=counts.__getitem__), unit
+
+
+def _put(row: SparseRow, j: int, value: int, counts: dict[int, int]) -> None:
+    """Set row[j] = value, dropping zeros and keeping the column counts."""
+    if value:
+        if j not in row:
+            counts[j] = counts.get(j, 0) + 1
+        row[j] = value
+    elif j in row:
+        del row[j]
+        counts[j] -= 1
+
+
+def _subtract(row: SparseRow, q: int, pivot_row: SparseRow, counts: dict[int, int], modulus: int = 0) -> None:
+    """row -= q * pivot_row, modulo `modulus` unless it is 0; keeps the counts."""
+    for j, y in pivot_row.items():
+        value = row.get(j, 0) - q * y
+        if modulus:
+            value %= modulus
+        if value:
+            if j not in row:
+                counts[j] = counts.get(j, 0) + 1
+            row[j] = value
+        elif j in row:
+            del row[j]
+            counts[j] -= 1
+
+
+def _eliminate_exact(rows: list[SparseRow]) -> tuple[list[int], list[SparseRow]]:
+    """Split off rows and pivots that need no remainder steps.
+
+    A row whose own columns (those no other row uses) have entries with a
+    gcd g dividing the whole row is g e_c after column operations that
+    touch no other row, so it splits off Z/g at no cost.  Between sweeps
+    for such rows, one entry +-1 is eliminated by a Gaussian step, the one
+    of least Markowitz cost (the fill-in it may cause).  Returns the
+    split-off orders and the rows left, a Schur complement whose entries
+    are ratios of minors of `rows`, so they stay below the Hadamard bound.
+    Consumes `rows`.
+    """
+    work = rows
+    counts = _column_counts(work)
+    orders = []
+    while work:
+        kept = []
         for row in work:
-            row[a], row[b] = row[b], row[a]
-        if v is not None:
-            for row in v:
-                row[a], row[b] = row[b], row[a]
-
-    def row_sub(i: int, k: int, q: int) -> None:
-        # row_i -= q * row_k
-        wi, wk = work[i], work[k]
-        for j in range(cols):
-            wi[j] -= q * wk[j]
-        if u is not None:
-            ui, uk = u[i], u[k]
-            for j in range(len(ui)):
-                ui[j] -= q * uk[j]
-
-    def col_sub(j: int, k: int, q: int) -> None:
-        # col_j -= q * col_k
-        for row in work:
-            row[j] -= q * row[k]
-        if v is not None:
-            for row in v:
-                row[j] -= q * row[k]
-
-    diag: list[int] = []
-    t = 0
-    while t < rows and t < cols:
-        # Locate the minimal-absolute-value nonzero pivot, row-major scan.
+            if 1 in map(counts.__getitem__, row):
+                g = math.gcd(*(x for j, x in row.items() if counts[j] == 1))
+                if all(y % g == 0 for y in row.values()):
+                    orders.append(g)
+                    for j in row:
+                        counts[j] -= 1
+                    continue
+            kept.append(row)
+        work = kept
         best = None
-        best_abs = 0
-        for i in range(t, rows):
-            wi = work[i]
-            for j in range(t, cols):
-                x = wi[j]
-                if x != 0 and (best is None or abs(x) < best_abs):
-                    best = (i, j)
-                    best_abs = abs(x)
+        best_cost = 0
+        for i, row in enumerate(work):
+            values = row.values()
+            if 1 not in values and -1 not in values:
+                continue
+            extra = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = extra * (counts[j] - 1)
+                    if best is None or cost < best_cost:
+                        best, best_cost = (i, j), cost
+                        if not cost:
+                            break
+            if best is not None and not best_cost:
+                break
         if best is None:
             break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
+        i, c = best
+        pivot_row = work.pop(i)
+        for j in pivot_row:
+            counts[j] -= 1
+        sign = pivot_row[c]
+        for row in work:
+            a = row.get(c)
+            if a is not None:
+                _subtract(row, a * sign, pivot_row, counts)
+        orders.append(1)
+        if not all(work):
+            work = [row for row in work if row]
+    return orders, work
 
+
+def _rank_and_minor(rows: list[SparseRow]) -> tuple[int, int]:
+    """Rank of `rows` and a nonzero rank x rank minor, made positive.
+
+    Fraction-free (Bareiss) elimination: after k pivots every entry is a
+    (k+1)-minor, so the last pivot is a rank x rank minor.  Rows the pivot
+    column misses are scaled lazily: a row stored at step g holds its
+    step-k value times pivots[g] / pivots[k].  `rows` is left as it was.
+    """
+    work = list(rows)
+    tags = [0] * len(work)
+    counts = _column_counts(work)
+    pivots = [1]
+    while work:
+        k = len(pivots) - 1
+        i, c, _ = _pivot(work, counts, 1, -1)
+        prev = pivots[k]
+        pivot_row = work.pop(i)
+        stored = pivots[tags.pop(i)]
+        if stored != prev:
+            pivot_row = {j: x * prev // stored for j, x in pivot_row.items()}
+        p = pivot_row[c]
+        if p < 0:  # negating a row changes neither the lattice nor |minor|
+            p = -p
+            pivot_row = {j: -x for j, x in pivot_row.items()}
+        for j in pivot_row:
+            counts[j] -= 1
+        for t, row in enumerate(work):
+            if c not in row:
+                continue
+            stored = pivots[tags[t]]
+            if stored != prev:
+                row = {j: x * prev // stored for j, x in row.items()}
+            a = row[c]
+            new = {j: x * p for j, x in row.items()}
+            for j, y in pivot_row.items():
+                value = new.get(j, 0) - a * y
+                if value:
+                    if j not in new:
+                        counts[j] = counts.get(j, 0) + 1
+                    new[j] = value
+                else:
+                    del new[j]
+                    counts[j] -= 1
+            work[t] = {j: x // prev for j, x in new.items()}
+            tags[t] = k + 1
+        pivots.append(p)
+        if not all(work):
+            kept = [t for t, row in enumerate(work) if row]
+            work = [work[t] for t in kept]
+            tags = [tags[t] for t in kept]
+    return len(pivots) - 1, pivots[-1]
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b, for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _diagonal_mod(rows: list[SparseRow], modulus: int) -> list[int]:
+    """gcd(pivot, modulus) for each pivot of a diagonalisation over Z/modulus.
+
+    Entries are kept in [0, modulus), so no entry outgrows the modulus.
+    Each pivot row and column are cleared by unimodular row and column
+    operations: a multiple of the pivot (in Z/modulus) is subtracted, and
+    an entry the pivot does not divide is first merged into the pivot by a
+    Bezout combination, which lowers gcd(pivot, modulus).  Once the pivot
+    column is clear, clearing a pivot-row entry the pivot divides only
+    touches the pivot row, so a unit pivot costs one column sweep.
+    """
+    work = []
+    for source in rows:
+        row = {}
+        for j, x in source.items():
+            x %= modulus
+            if x:
+                row[j] = x
+        if row:
+            work.append(row)
+    counts = _column_counts(work)
+    minus_one = modulus - 1
+    diagonal = []
+    while work:
+        i, c, _ = _pivot(work, counts, 1, minus_one)
+        pivot_row = work.pop(i)
+        for j in pivot_row:
+            counts[j] -= 1
         while True:
-            pivot = work[t][t]
-            disturbed = False
-            for i in range(t + 1, rows):
-                a = work[i][t]
-                if a:
-                    q = a // pivot
-                    if q:
-                        row_sub(i, t, q)
-                    if work[i][t]:
-                        # Remainder is a strictly smaller pivot candidate.
-                        swap_rows(t, i)
-                        disturbed = True
-                        break
-            if disturbed:
-                continue
-            for j in range(t + 1, cols):
-                a = work[t][j]
-                if a:
-                    q = a // pivot
-                    if q:
-                        col_sub(j, t, q)
-                    if work[t][j]:
-                        swap_cols(t, j)
-                        disturbed = True
-                        break
-            if disturbed:
-                continue
-            break
-
-        # Row and column are clear; force the pivot to divide the rest.
-        pivot = work[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            wi = work[i]
-            for j in range(t + 1, cols):
-                if wi[j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
+            p = pivot_row[c]
+            g = math.gcd(p, modulus)
+            inverse = pow(p // g, -1, modulus // g)
+            for row in work:
+                x = row.get(c)
+                if x is None:
+                    continue
+                if x % g == 0:
+                    _subtract(row, x // g * inverse % modulus, pivot_row, counts, modulus)
+                    continue
+                h, s, t = _xgcd(p, x)
+                u, v = x // h, p // h
+                merged = {}
+                for j in pivot_row.keys() | row.keys():
+                    a, b = pivot_row.get(j, 0), row.get(j, 0)
+                    value = (s * a + t * b) % modulus
+                    if value:
+                        merged[j] = value
+                    _put(row, j, (v * b - u * a) % modulus, counts)
+                pivot_row = merged
+                p = h
+                g = math.gcd(p, modulus)
+                inverse = pow(p // g, -1, modulus // g)
+            # The pivot column is clear, so the pivot-row entries that the
+            # pivot divides go by column operations on the pivot row alone.
+            # A column merge with any other entry refills the pivot column.
+            if g == 1:
                 break
-        if offender is not None:
-            row_sub(t, offender, -1)  # add the offending row to the pivot row
-            continue  # rerun elimination at the same index t
+            offender = next((j for j, y in pivot_row.items() if y % g), None)
+            if offender is None:
+                break
+            y = pivot_row.pop(offender)
+            h, s, t = _xgcd(p, y)
+            u, v = y // h, p // h
+            pivot_row[c] = h
+            for row in work:
+                a, b = row.get(c, 0), row.get(offender, 0)
+                if a or b:
+                    _put(row, c, (s * a + t * b) % modulus, counts)
+                    _put(row, offender, (v * b - u * a) % modulus, counts)
+        diagonal.append(g)
+        if not all(work):
+            work = [row for row in work if row]
+    return diagonal
 
-        if pivot < 0:
-            for j in range(cols):
-                work[t][j] = -work[t][j]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
-        diag.append(work[t][t])
-        t += 1
-    return diag
+
+def _chain(factors: Iterable[int]) -> tuple[int, ...]:
+    """Invariant-factor chain of the direct sum of Z/f over `factors`.
+
+    Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b); applying this to every pair
+    (i, j), i < j, leaves each factor dividing all later ones.  Factors
+    equal to 1 are dropped.
+    """
+    fs = sorted(f for f in factors if f > 1)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            a, b = fs[i], fs[j]
+            g = math.gcd(a, b)
+            if g != a:
+                fs[i], fs[j] = g, a // g * b
+    return tuple(f for f in fs if f > 1)
+
+
+def _torsion(rows: list[SparseRow]) -> tuple[int, list[int]]:
+    """Rank of the lattice spanned by `rows`, and cyclic orders whose sum
+    is its torsion.
+
+    Per connected block: a single row or column spans g Z for the gcd g of
+    its entries.  Otherwise `_eliminate_exact` splits off what it can, and
+    the rest, of width n, is reduced modulo a nonzero rank x rank minor D.
+    Every invariant factor d_i divides D, and Z^n / (L + D Z^n) = Z/d_1 x
+    ... x Z/d_rank x (Z/D)^(n - rank) for its row lattice L.  The diagonal
+    modulo D presents that group as a sum of Z/gcd(pivot, D) and one Z/D
+    per missing pivot; its chain ends in the n - rank copies of Z/D that
+    stand for the free part.  (The pivots alone need not be the d_i: Z/2 x
+    Z/3 may stand for Z/6.)  Consumes `rows`.
+    """
+    rank = 0
+    torsion: list[int] = []
+    for block in _connected_blocks(rows):
+        if len(block) > 1 and len(set().union(*block)) > 1:
+            orders, block = _eliminate_exact(block)
+            rank += len(orders)
+            torsion += orders
+            if len(block) > 1:
+                block_rank, minor = _rank_and_minor(block)
+                rank += block_rank
+                if minor > 1:
+                    width = len(set().union(*block))
+                    diagonal = _diagonal_mod(block, minor)
+                    chain = _chain(diagonal + [minor] * (width - len(diagonal)))
+                    torsion += chain[: len(chain) - (width - block_rank)]
+                continue
+        if block:
+            rank += 1
+            torsion.append(math.gcd(*(x for row in block for x in row.values())))
+    return rank, torsion
 
 
 def smith_invariants(matrix: IntMatrix) -> SmithData:
@@ -333,26 +574,15 @@ def smith_invariants(matrix: IntMatrix) -> SmithData:
 
     Deterministic and exact; empty matrices are allowed and have rank 0.
     """
-    work = matrix.to_rows()
-    diag = _smith_eliminate(work, matrix.rows, matrix.cols)
-    return SmithData(matrix, len(diag), tuple(diag))
-
-
-def smith_with_transforms(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms: returns (U, D, V) with U @ M @ V = D.
-
-    U and V are unimodular; D is diagonal with the invariant factors on the
-    diagonal (padded by zeros up to the shape of M).
-    """
-    work = matrix.to_rows()
-    u = [[1 if i == j else 0 for j in range(matrix.rows)] for i in range(matrix.rows)]
-    v = [[1 if i == j else 0 for j in range(matrix.cols)] for i in range(matrix.cols)]
-    _smith_eliminate(work, matrix.rows, matrix.cols, u, v)
-    return (
-        IntMatrix.from_rows(u, matrix.rows),
-        IntMatrix.from_rows(work, matrix.cols),
-        IntMatrix.from_rows(v, matrix.cols),
-    )
+    columns = range(matrix.cols)
+    rows = []
+    for i in range(matrix.rows):
+        row = matrix.row(i)
+        if any(row):
+            rows.append(dict(zip(compress(columns, row), compress(row, row))))
+    rank, torsion = _torsion(rows)
+    chain = _chain(torsion)
+    return SmithData(rank, (1,) * (rank - len(chain)) + chain)
 
 
 def cokernel(matrix: IntMatrix) -> FgAbelianGroup:
@@ -364,51 +594,6 @@ def cokernel(matrix: IntMatrix) -> FgAbelianGroup:
     data = smith_invariants(matrix)
     factors = tuple(f for f in data.invariant_factors if f > 1)
     return FgAbelianGroup(matrix.cols - data.rank, factors)
-
-
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free Gaussian elimination; consumes `rows`."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k]:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = pivot
-    return sign * rows[n - 1][n - 1]
-
-
-def determinantal_divisor(matrix: IntMatrix, k: int) -> int:
-    """gcd of the absolute values of all k x k minors; 0 iff all minors vanish.
-
-    Brute force over all row/column selections, so the cost grows like
-    binomial(rows, k) * binomial(cols, k); fine for the small matrices this
-    library produces, hopeless beyond that.  Stops early once the gcd hits 1.
-    """
-    if not (1 <= k <= min(matrix.rows, matrix.cols)):
-        raise ValueError(f"k={k} out of range for a {matrix.rows}x{matrix.cols} matrix")
-    g = 0
-    grid = matrix.to_rows()
-    for rsel in itertools.combinations(range(matrix.rows), k):
-        for csel in itertools.combinations(range(matrix.cols), k):
-            minor = [[grid[i][j] for j in csel] for i in rsel]
-            g = math.gcd(g, _det_bareiss(minor))
-            if g == 1:
-                return 1
-    return g
 
 
 def matrix_A(k: int, exponents: Sequence[int]) -> IntMatrix:
@@ -425,17 +610,12 @@ def matrix_A(k: int, exponents: Sequence[int]) -> IntMatrix:
     if not l or any(x < 1 for x in l):
         raise ValueError("exponent vector must be nonempty with positive entries")
     n = len(l)
-    rows = []
+    entries: list[int] = []
     for t in range(k):
-        row = [0] * (k * n)
-        row[t * n : (t + 1) * n] = list(l)
-        rows.append(row)
+        entries += (0,) * (t * n) + l + (0,) * ((k - 1 - t) * n)
     for j in range(n):
-        row = [0] * (k * n)
-        for t in range(k):
-            row[t * n + j] = 1
-        rows.append(row)
-    return IntMatrix.from_rows(rows, k * n)
+        entries += ((0,) * j + (1,) + (0,) * (n - 1 - j)) * k
+    return IntMatrix(k + n, k * n, tuple(entries))
 
 
 def matrix_B(k: int, exponents: Sequence[int], frak_l: int) -> IntMatrix:
@@ -563,18 +743,14 @@ def canonical_group(factors: Sequence[int], rank: int = 0) -> FgAbelianGroup:
     """Canonical form of the direct sum of Z/f_i (f_i >= 1) and Z^rank.
 
     Factors equal to 1 are dropped; the rest are rewritten into an
-    invariant-factor chain via the Smith form of a diagonal matrix.
+    invariant-factor chain by gcd/lcm exchanges.
     """
     if rank < 0:
         raise ValueError("rank must be nonnegative")
     fs = [int(f) for f in factors]
     if any(f < 1 for f in fs):
         raise ValueError("torsion factors must be >= 1")
-    fs = [f for f in fs if f > 1]
-    if not fs:
-        return FgAbelianGroup(rank, ())
-    data = smith_invariants(IntMatrix.diagonal(fs))
-    return FgAbelianGroup(rank, tuple(f for f in data.invariant_factors if f > 1))
+    return FgAbelianGroup(rank, _chain(fs))
 
 
 def element_order_in_cokernel(matrix: IntMatrix, vector: Sequence[int]) -> Optional[int]:

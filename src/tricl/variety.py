@@ -46,12 +46,15 @@ def _coerce_theta(theta) -> Optional[tuple[Theta, ...]]:
         return None
     out: list[Theta] = []
     for item in theta:
-        if isinstance(item, str):
-            out.append(GENERIC_THETA if item == GENERIC_THETA else Fraction(item))
-        elif isinstance(item, Fraction):
+        if item == GENERIC_THETA or isinstance(item, Fraction):
             out.append(item)
-        else:
+            continue
+        try:
             out.append(Fraction(item))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidVarietyError(
+                f"coefficient {item!r} is neither 'generic' nor a rational"
+            ) from exc
     return tuple(out)
 
 

@@ -3,7 +3,11 @@
 Nothing under ``src/`` imports this module.
 """
 
+import itertools
 import math
+from typing import Optional
+
+from tricl.exactlinalg import IntMatrix
 
 
 def _block_key(block, original_index):
@@ -53,3 +57,193 @@ def adjust_by_pair_search(blocks):
             if best_keys is None or keys < best_keys:
                 best, best_keys = candidate, keys
     return tuple(eliminated), tuple(i for i, _ in best)
+
+
+def smith_eliminate(work: list[list[int]], rows: int, cols: int,
+                    u: Optional[list[list[int]]] = None,
+                    v: Optional[list[list[int]]] = None) -> list[int]:
+    """Diagonalize `work` in place by unimodular row/column operations.
+
+    Integer min-pivot elimination without any bound on entry growth: fine
+    for the small matrices of the tests, far too slow on some case-III
+    grading matrices.
+
+    Returns the list of positive diagonal entries (a divisibility chain).
+    When given, `u` and `v` accumulate the row respectively column operations,
+    so that u_final @ M @ v_final equals the diagonal result.
+
+    Pivot choice: the minimal-absolute-value nonzero entry of the trailing
+    submatrix, located by a row-major scan, so runs are reproducible.
+    """
+
+    def swap_rows(a: int, b: int) -> None:
+        work[a], work[b] = work[b], work[a]
+        if u is not None:
+            u[a], u[b] = u[b], u[a]
+
+    def swap_cols(a: int, b: int) -> None:
+        for row in work:
+            row[a], row[b] = row[b], row[a]
+        if v is not None:
+            for row in v:
+                row[a], row[b] = row[b], row[a]
+
+    def row_sub(i: int, k: int, q: int) -> None:
+        # row_i -= q * row_k
+        wi, wk = work[i], work[k]
+        for j in range(cols):
+            wi[j] -= q * wk[j]
+        if u is not None:
+            ui, uk = u[i], u[k]
+            for j in range(len(ui)):
+                ui[j] -= q * uk[j]
+
+    def col_sub(j: int, k: int, q: int) -> None:
+        # col_j -= q * col_k
+        for row in work:
+            row[j] -= q * row[k]
+        if v is not None:
+            for row in v:
+                row[j] -= q * row[k]
+
+    diag: list[int] = []
+    t = 0
+    while t < rows and t < cols:
+        # Locate the minimal-absolute-value nonzero pivot, row-major scan.
+        best = None
+        best_abs = 0
+        for i in range(t, rows):
+            wi = work[i]
+            for j in range(t, cols):
+                x = wi[j]
+                if x != 0 and (best is None or abs(x) < best_abs):
+                    best = (i, j)
+                    best_abs = abs(x)
+        if best is None:
+            break
+        if best[0] != t:
+            swap_rows(t, best[0])
+        if best[1] != t:
+            swap_cols(t, best[1])
+
+        while True:
+            pivot = work[t][t]
+            disturbed = False
+            for i in range(t + 1, rows):
+                a = work[i][t]
+                if a:
+                    q = a // pivot
+                    if q:
+                        row_sub(i, t, q)
+                    if work[i][t]:
+                        # Remainder is a strictly smaller pivot candidate.
+                        swap_rows(t, i)
+                        disturbed = True
+                        break
+            if disturbed:
+                continue
+            for j in range(t + 1, cols):
+                a = work[t][j]
+                if a:
+                    q = a // pivot
+                    if q:
+                        col_sub(j, t, q)
+                    if work[t][j]:
+                        swap_cols(t, j)
+                        disturbed = True
+                        break
+            if disturbed:
+                continue
+            break
+
+        # Row and column are clear; force the pivot to divide the rest.
+        pivot = work[t][t]
+        offender = None
+        for i in range(t + 1, rows):
+            wi = work[i]
+            for j in range(t + 1, cols):
+                if wi[j] % pivot:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_sub(t, offender, -1)  # add the offending row to the pivot row
+            continue  # rerun elimination at the same index t
+
+        if pivot < 0:
+            for j in range(cols):
+                work[t][j] = -work[t][j]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
+        diag.append(work[t][t])
+        t += 1
+    return diag
+
+
+def smith_oracle(matrix):
+    """(rank, invariant factors) by the integer min-pivot elimination."""
+    diag = smith_eliminate(matrix.to_rows(), matrix.rows, matrix.cols)
+    return len(diag), tuple(diag)
+
+
+def smith_with_transforms(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form with transforms: returns (U, D, V) with U @ M @ V = D.
+
+    U and V are unimodular; D is diagonal with the invariant factors on the
+    diagonal (padded by zeros up to the shape of M).
+    """
+    work = matrix.to_rows()
+    u = [[1 if i == j else 0 for j in range(matrix.rows)] for i in range(matrix.rows)]
+    v = [[1 if i == j else 0 for j in range(matrix.cols)] for i in range(matrix.cols)]
+    smith_eliminate(work, matrix.rows, matrix.cols, u, v)
+    return (
+        IntMatrix.from_rows(u, matrix.rows),
+        IntMatrix.from_rows(work, matrix.cols),
+        IntMatrix.from_rows(v, matrix.cols),
+    )
+
+
+def _det_bareiss(rows: list[list[int]]) -> int:
+    """Exact determinant by fraction-free Gaussian elimination; consumes `rows`."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for i in range(k + 1, n):
+                if rows[i][k]:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = pivot
+    return sign * rows[n - 1][n - 1]
+
+
+def determinantal_divisor(matrix: IntMatrix, k: int) -> int:
+    """gcd of the absolute values of all k x k minors; 0 iff all minors vanish.
+
+    Brute force over all row/column selections, so the cost grows like
+    binomial(rows, k) * binomial(cols, k); fine for the small matrices this
+    library produces, hopeless beyond that.  Stops early once the gcd hits 1.
+    """
+    if not (1 <= k <= min(matrix.rows, matrix.cols)):
+        raise ValueError(f"k={k} out of range for a {matrix.rows}x{matrix.cols} matrix")
+    g = 0
+    grid = matrix.to_rows()
+    for rsel in itertools.combinations(range(matrix.rows), k):
+        for csel in itertools.combinations(range(matrix.cols), k):
+            minor = [[grid[i][j] for j in csel] for i in rsel]
+            g = math.gcd(g, _det_bareiss(minor))
+            if g == 1:
+                return 1
+    return g

@@ -10,6 +10,7 @@ import math
 import random
 import time
 
+from oracles import determinantal_divisor
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
     GroupMethod,
@@ -31,7 +32,6 @@ from tricl.coxring import (
 )
 from tricl.exactlinalg import (
     FgAbelianGroup,
-    determinantal_divisor,
     matrix_A,
     smith_invariants,
 )

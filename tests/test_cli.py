@@ -1,6 +1,7 @@
 """Tests for the command line front end: parsing, reports, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from tricl.cli import (
     EXIT_NOT_FINITELY_GENERATED,
     EXIT_OK,
     SpecError,
+    DEFAULT_MAX_BLOCK,
     main,
     parse_spec,
 )
@@ -273,3 +275,29 @@ class TestBatch:
         code, out, _ = run_cli(capsys, "classgroup", str(tmp_path))
         assert code == EXIT_OK
         assert "2/2 inputs processed" in out
+
+
+# Case III with single-variable blocks, from 3 blocks up to the 17 that the
+# default TRICL_MAX_BLOCK admits, and the six-block case II tail.
+CASE_III_PRIMES = (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+CAP_LADDER = [
+    [[2], [4], [10]] + [[p] for p in CASE_III_PRIMES[: k - 3]]
+    for k in range(3, DEFAULT_MAX_BLOCK + 2)
+] + [[[16], [16], [3], [5], [7], [11]]]
+# Each point takes under 30 ms on a 2-vCPU host; before the determinant-
+# modulus Smith engine the 10-block point did not finish in 120 s.
+CAP_LADDER_BOUND_S = 2.0
+
+
+class TestCapLadder:
+    @pytest.mark.parametrize("blocks", CAP_LADDER, ids=lambda b: f"{len(b)}-blocks-{b[0][0]}")
+    def test_formula_equals_snf_in_bounded_time(self, tmp_path, capsys, blocks):
+        path = write_spec(tmp_path, "in.json", {"kind": "trinomial", "blocks": blocks})
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "--format", "json", "classgroup", "--method", "both", path)
+        elapsed = time.perf_counter() - started
+        assert code == EXIT_OK, err
+        record = json.loads(out)["class_group"]
+        assert record["agree"] is True
+        assert record["snf"] == record["formula"] == record["group"]
+        assert elapsed < CAP_LADDER_BOUND_S

@@ -13,14 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import determinantal_divisor, smith_oracle, smith_with_transforms
+from tricl.classgroup import class_group_formula, grading_matrix
 from tricl.exactlinalg import (
     FgAbelianGroup,
     IntMatrix,
+    SmithData,
     block_diagonal,
     canonical_group,
     cokernel,
     coordinates_in_lattice,
-    determinantal_divisor,
     element_order_in_cokernel,
     hermite_basis,
     is_saturated_sublattice,
@@ -28,8 +30,8 @@ from tricl.exactlinalg import (
     matrix_A,
     matrix_B,
     smith_invariants,
-    smith_with_transforms,
 )
+from tricl.variety import TrinomialVariety, adjust
 
 
 def M(rows, cols=None):
@@ -128,6 +130,112 @@ class TestSmith:
         assert u @ a @ v == d
         diag = tuple(d[i, i] for i in range(min(a.rows, a.cols)) if d[i, i])
         assert diag == smith_invariants(a).invariant_factors
+
+
+
+def _random_matrix(rng):
+    """A seeded random matrix of one of the shapes the engine special-cases."""
+    rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+    bound = rng.choice([1, 2, 5, 30, 10**12])
+    density = rng.choice([0.2, 0.5, 0.9])
+    grid = [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    shape = rng.choice(["dense", "rank_deficient", "zero_row", "zero_column", "block_diagonal"])
+    if shape == "rank_deficient" and rows >= 3:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        grid[-1] = [a * x + b * y for x, y in zip(grid[0], grid[1])]
+    elif shape == "zero_row" and rows:
+        grid[rng.randrange(rows)] = [0] * cols
+    elif shape == "zero_column" and cols:
+        j = rng.randrange(cols)
+        for row in grid:
+            row[j] = 0
+    elif shape == "block_diagonal" and rows >= 2 and cols >= 2:
+        split_row, split_col = rng.randint(1, rows - 1), rng.randint(1, cols - 1)
+        for i, row in enumerate(grid):
+            for j in range(cols):
+                if (i < split_row) != (j < split_col):
+                    row[j] = 0
+    return M(grid, cols)
+
+
+class TestSmithEngine:
+    """The mod-determinant engine against the integer min-pivot oracle."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_invariants_and_cokernel_match_the_oracle(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            a = _random_matrix(rng)
+            rank, factors = smith_oracle(a)
+            data = smith_invariants(a)
+            assert (data.rank, data.invariant_factors) == (rank, factors), a
+            assert cokernel(a) == FgAbelianGroup(
+                a.cols - rank, tuple(f for f in factors if f > 1)
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_canonical_group_matches_the_oracle(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            choices = [1, 2, 3, 4, 6, 8, 9, 12, 27, 10**9 + 7]
+            factors = [rng.choice(choices) for _ in range(rng.randint(0, 9))]
+            rank = rng.randint(0, 2)
+            n = len(factors)
+            diagonal = M([[factors[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
+            _, chain = smith_oracle(diagonal)
+            expected = FgAbelianGroup(rank, tuple(f for f in chain if f > 1))
+            assert canonical_group(factors, rank) == expected
+
+    def test_block_diagonal_is_the_direct_sum(self):
+        # Z/4 from the first block and Z/6 x Z from the second.
+        a = block_diagonal([M([[4]]), M([[2, 0, 0], [0, 3, 0]])])
+        assert smith_invariants(a).invariant_factors == (1, 2, 12)
+        assert cokernel(a) == FgAbelianGroup(1, (2, 12))
+
+    def test_pivots_mod_the_minor_may_split_a_free_factor(self):
+        # Rank 1 with minor 6: modulo 6 the pivots are 2 and 3, and
+        # Z/2 x Z/3 = Z/6 is the copy of Z/6 that stands for the free part.
+        a = M([[6, 4], [3, 2]])
+        assert smith_invariants(a).invariant_factors == (1,)
+        assert cokernel(a) == FgAbelianGroup(1, ())
+
+    def test_large_entries(self):
+        p, q = 2**61 - 1, 2**89 - 1
+        a = M([[p, 0], [0, q], [p, q]])
+        assert smith_invariants(a).invariant_factors == (1, p * q)
+
+    def test_case_iii_grading_matrix(self):
+        # The 9-block case-III grading matrix (38 x 30), on which the
+        # integer elimination's intermediates reached ~845,000 bits.
+        blocks = [[2], [4], [10], [3], [7], [11], [13], [17], [19]]
+        variety = adjust(TrinomialVariety(blocks))[0]
+        a = grading_matrix(variety)
+        assert (a.rows, a.cols) == (38, 30)
+        # Z/(2*4*10/4) x (Z/p)^3 for p = 3, 7, ..., 19, as a chain.
+        q = 3 * 7 * 11 * 13 * 17 * 19
+        expected = FgAbelianGroup(0, (q, q, 20 * q))
+        assert class_group_formula(variety) == expected
+        assert cokernel(a) == expected
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_sympy_invariant_factors(self, seed):
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        from sympy import ZZ, Matrix
+
+        rng = random.Random(seed)
+        grading = [
+            grading_matrix(adjust(TrinomialVariety(blocks))[0])
+            for blocks in ([[2], [4], [10], [3]], [[4], [4], [3], [5]], [[2, 4], [2], [2, 6]])
+        ]
+        for a in grading + [_random_matrix(rng) for _ in range(60)]:
+            if not a.rows or not a.cols:
+                continue
+            grid = Matrix(a.rows, a.cols, list(a.entries))
+            expected = tuple(abs(int(f)) for f in normalforms.invariant_factors(grid, domain=ZZ) if f)
+            assert smith_invariants(a).invariant_factors == expected, a
 
 
 class TestCokernel:

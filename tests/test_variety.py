@@ -77,6 +77,11 @@ class TestValidate:
     def test_generic_theta_tags(self):
         V([[2], [2], [2], [3], [5]], theta=["generic", "generic"])
 
+    @pytest.mark.parametrize("text", ["abc", "1/0"])
+    def test_theta_that_is_not_a_rational(self, text):
+        with pytest.raises(InvalidVarietyError, match="neither 'generic' nor a rational"):
+            V([[2], [3], [5], [7]], theta=[text])
+
 
 class TestInvariants:
     def test_remark_blocks(self):
