@@ -16,20 +16,21 @@ the case-III grading matrices reached hundreds of thousands of bits
 (Havas, Majewski and Matthews, Exp. Math. 7, 1998).  Instead:
 
 * The matrix is split into its connected blocks (rows linked by shared
-  nonzero columns); the invariants of a direct sum are those of its blocks.
-* Per block, fraction-free (Bareiss) elimination gives the rank r and a
-  nonzero r x r minor D.  Its entries are minors, so they stay below the
-  Hadamard bound.  Its first pivots, all +-1, are plain Gaussian steps and
-  leave a smaller core with the same invariant factors apart from 1s.
-* The core is diagonalised over Z/DZ, every entry reduced mod D
-  (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, A Course
-  in Computational Algebraic Number Theory, 2.4).  Every invariant factor
-  divides D, and the quotient by L + D Z^n is the torsion plus one Z/D for
-  each free generator; those copies are dropped.
-* A diagonal is turned into the invariant-factor chain by gcd/lcm
-  exchanges, as `canonical_group` does for its factors.
+  columns); the invariants of a direct sum are those of its blocks.
+* Per block, pivots that need no remainder steps go first: a row whose own
+  columns have a gcd dividing the row splits off at no cost, and +-1
+  entries are eliminated by Gaussian steps.  The entries left are ratios
+  of minors, so they stay below the Hadamard bound.
+* On the rest, fraction-free (Bareiss) elimination gives the rank r and a
+  nonzero r x r minor D, and the rows are diagonalised over Z/DZ with every
+  entry reduced mod D (Domich, Kannan and Trotter, Math. Oper. Res. 12,
+  1987; Cohen, A Course in Computational Algebraic Number Theory, 2.4).
+  Every invariant factor divides D, and the quotient by L + D Z^n is the
+  torsion plus one Z/D for each free generator; those copies are dropped.
+* A direct sum of cyclic groups is turned into the invariant-factor chain
+  by gcd/lcm exchanges, which is all `canonical_group` does.
 
-Pivots are chosen by Markowitz cost (fill-in), so the sparse grading and
+Pivots are picked by Markowitz (fill-in) cost, so the sparse grading and
 exponent matrices stay sparse.
 """
 
@@ -266,30 +267,28 @@ def _column_counts(rows: list[SparseRow]) -> dict[int, int]:
     return counts
 
 
-def _pivot(rows: list[SparseRow], counts: dict[int, int], one: int, minus_one: int) -> tuple[int, int, bool]:
-    """(row index, column, is a unit) of the next pivot among `rows`.
+def _pivot(rows: list[SparseRow], counts: dict[int, int], minus_one: int) -> tuple[int, int]:
+    """(row index, column) of the next pivot among `rows`.
 
-    The shortest row holding a unit (`one` or `minus_one`), or else the
-    shortest row; in it, the unit (or entry) whose column has the fewest
-    entries.  This keeps the Markowitz fill-in cost low, and a unit in a
-    singleton row or column costs no fill at all.
+    The shortest row holding a 1 or `minus_one`, or else the shortest row;
+    in it, that entry (or any entry) whose column has the fewest entries.
+    This keeps the Markowitz fill-in cost low.
     """
     best, size = -1, 0
     for i, row in enumerate(rows):
         if best < 0 or len(row) < size:
             values = row.values()
-            if one in values or minus_one in values:
+            if 1 in values or minus_one in values:
                 best, size = i, len(row)
                 if size == 1:
                     break
-    unit = best >= 0
-    if unit:
-        candidates = [j for j, x in rows[best].items() if x == one or x == minus_one]
+    if best >= 0:
+        candidates = [j for j, x in rows[best].items() if x == 1 or x == minus_one]
     else:
         sizes = list(map(len, rows))
         best = sizes.index(min(sizes))
         candidates = list(rows[best])
-    return best, min(candidates, key=counts.__getitem__), unit
+    return best, min(candidates, key=counts.__getitem__)
 
 
 def _put(row: SparseRow, j: int, value: int, counts: dict[int, int]) -> None:
@@ -392,7 +391,7 @@ def _rank_and_minor(rows: list[SparseRow]) -> tuple[int, int]:
     pivots = [1]
     while work:
         k = len(pivots) - 1
-        i, c, _ = _pivot(work, counts, 1, -1)
+        i, c = _pivot(work, counts, -1)
         prev = pivots[k]
         pivot_row = work.pop(i)
         stored = pivots[tags.pop(i)]
@@ -410,17 +409,8 @@ def _rank_and_minor(rows: list[SparseRow]) -> tuple[int, int]:
             stored = pivots[tags[t]]
             if stored != prev:
                 row = {j: x * prev // stored for j, x in row.items()}
-            a = row[c]
             new = {j: x * p for j, x in row.items()}
-            for j, y in pivot_row.items():
-                value = new.get(j, 0) - a * y
-                if value:
-                    if j not in new:
-                        counts[j] = counts.get(j, 0) + 1
-                    new[j] = value
-                else:
-                    del new[j]
-                    counts[j] -= 1
+            _subtract(new, row[c], pivot_row, counts)
             work[t] = {j: x // prev for j, x in new.items()}
             tags[t] = k + 1
         pivots.append(p)
@@ -452,20 +442,13 @@ def _diagonal_mod(rows: list[SparseRow], modulus: int) -> list[int]:
     column is clear, clearing a pivot-row entry the pivot divides only
     touches the pivot row, so a unit pivot costs one column sweep.
     """
-    work = []
-    for source in rows:
-        row = {}
-        for j, x in source.items():
-            x %= modulus
-            if x:
-                row[j] = x
-        if row:
-            work.append(row)
+    work = [{j: r for j, x in row.items() if (r := x % modulus)} for row in rows]
+    work = [row for row in work if row]
     counts = _column_counts(work)
     minus_one = modulus - 1
     diagonal = []
     while work:
-        i, c, _ = _pivot(work, counts, 1, minus_one)
+        i, c = _pivot(work, counts, minus_one)
         pivot_row = work.pop(i)
         for j in pivot_row:
             counts[j] -= 1
@@ -550,20 +533,22 @@ def _torsion(rows: list[SparseRow]) -> tuple[int, list[int]]:
     rank = 0
     torsion: list[int] = []
     for block in _connected_blocks(rows):
-        if len(block) > 1 and len(set().union(*block)) > 1:
+        width = len(set().union(*block))
+        if len(block) > 1 and width > 1:
             orders, block = _eliminate_exact(block)
             rank += len(orders)
             torsion += orders
-            if len(block) > 1:
-                block_rank, minor = _rank_and_minor(block)
-                rank += block_rank
-                if minor > 1:
-                    width = len(set().union(*block))
-                    diagonal = _diagonal_mod(block, minor)
-                    chain = _chain(diagonal + [minor] * (width - len(diagonal)))
-                    torsion += chain[: len(chain) - (width - block_rank)]
-                continue
-        if block:
+            width = len(set().union(*block))
+        if len(block) > 1 and width > 1:
+            block_rank, minor = _rank_and_minor(block)
+            rank += block_rank
+            if minor > 1:
+                # Each gcd(pivot, D) divides D, so the copies of Z/D end the
+                # chain.
+                diagonal = _diagonal_mod(block, minor)
+                chain = _chain(diagonal) + (minor,) * (width - len(diagonal))
+                torsion += chain[: len(chain) - (width - block_rank)]
+        elif block:
             rank += 1
             torsion.append(math.gcd(*(x for row in block for x in row.values())))
     return rank, torsion

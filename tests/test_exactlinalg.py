@@ -18,7 +18,6 @@ from tricl.classgroup import class_group_formula, grading_matrix
 from tricl.exactlinalg import (
     FgAbelianGroup,
     IntMatrix,
-    SmithData,
     block_diagonal,
     canonical_group,
     cokernel,
@@ -130,7 +129,6 @@ class TestSmith:
         assert u @ a @ v == d
         diag = tuple(d[i, i] for i in range(min(a.rows, a.cols)) if d[i, i])
         assert diag == smith_invariants(a).invariant_factors
-
 
 
 def _random_matrix(rng):
