@@ -6,12 +6,12 @@ import time
 import pytest
 
 from tricl.cli import (
+    DEFAULT_MAX_BLOCK,
     EXIT_INVALID_INPUT,
     EXIT_NOT_ADMITTED,
     EXIT_NOT_FINITELY_GENERATED,
     EXIT_OK,
     SpecError,
-    DEFAULT_MAX_BLOCK,
     main,
     parse_spec,
 )
@@ -284,8 +284,9 @@ CAP_LADDER = [
     [[2], [4], [10]] + [[p] for p in CASE_III_PRIMES[: k - 3]]
     for k in range(3, DEFAULT_MAX_BLOCK + 2)
 ] + [[[16], [16], [3], [5], [7], [11]]]
-# Each point takes under 30 ms on a 2-vCPU host; before the determinant-
-# modulus Smith engine the 10-block point did not finish in 120 s.
+# Each point takes under 30 ms on a 2-vCPU host.  Integer elimination
+# without a bound on entry growth needs over 120 s at 10 blocks, so the
+# bound catches its return with room to spare on a slow host.
 CAP_LADDER_BOUND_S = 2.0
 
 
