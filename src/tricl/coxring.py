@@ -93,6 +93,7 @@ def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
     total coordinate space and yield the identity construction.  Otherwise
     each source block i contributes c(i) copies of the vector of column gcds
     of the scaled exponent matrix; the free-variable count m is preserved.
+    That construction is built once per value; later calls share its fields.
     """
     kind = rationality_class(variety)
     if not kind.is_rational:
@@ -115,6 +116,16 @@ def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
             r_prime=variety.r,
         )
 
+    # Kept in the value's instance dict, like its other analysis.  The parts
+    # hold no reference back to `variety`, so the cache makes no cycle.
+    parts = variety.__dict__.get("_tcs_parts")
+    if parts is None:
+        parts = variety.__dict__["_tcs_parts"] = _tcs_parts(variety)
+    return CoxConstruction(variety, *parts)
+
+
+def _tcs_parts(variety: TrinomialVariety) -> tuple:
+    """The fields after ``source`` of a non-factorial `CoxConstruction`."""
     p1 = _p1_rows(variety)
     counts = variety._counts
     offsets = _block_offsets(variety)
@@ -135,7 +146,7 @@ def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
     n_prime = sum(counts[i] * len(block) for i, block in enumerate(variety.blocks))
     r_prime = sum(counts) - 1
     assert n_prime == tcs.n and r_prime == tcs.r
-    return CoxConstruction(variety, p1, counts, grouped, tcs, n_prime, r_prime)
+    return p1, counts, grouped, tcs, n_prime, r_prime
 
 
 _ADE_BY_TRIPLE = {(5, 3, 2): "E8", (4, 3, 2): "E6", (3, 3, 2): "D4"}
@@ -364,7 +375,7 @@ def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
     y_tcs_triple = is_hyperplatonic(y_tcs)
     verified = y_tcs_triple is not None and (
         y_tcs_triple.as_tuple() == xprime_triple.as_tuple()
-        or (y_tcs.is_degenerate and adjust(yprime)[0].is_degenerate)
+        or (y_tcs.is_degenerate and xprime_triple.c == 1)
     )
 
     gcds = adjusted.block_gcds()

@@ -13,8 +13,12 @@ computation.
 
 Variety values are checked when they are constructed: invalid data raises
 an `InvalidVarietyError` subclass there, so every existing value is valid.
-Each value computes its block gcds, its adjustedness, its rationality class
-and its component counts at most once, on first use.
+
+Analyse once.  A value caches its block gcds L_i, whether it is adjusted,
+its rationality class and its component counts c(i), each computed on first
+use and kept only as long as the value.  `adjust` reuses the input's gcds
+and hands its result the gcds in adjusted order and the adjusted flag; input
+already in adjusted order comes back as the same object.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ def _coerce_theta(theta) -> Optional[tuple[Theta, ...]]:
 
 def _coerce_fields(value) -> None:
     """Normalise the blocks, m and theta of a frozen variety value in place."""
-    object.__setattr__(value, "blocks", tuple(tuple(int(x) for x in b) for b in value.blocks))
+    object.__setattr__(value, "blocks", tuple([tuple(map(int, b)) for b in value.blocks]))
     object.__setattr__(value, "m", int(value.m))
     object.__setattr__(value, "theta", _coerce_theta(value.theta))
 
@@ -76,7 +80,7 @@ def _check_fields(value, expected_theta: int, fixed_first: bool = False) -> None
     for index, block in enumerate(value.blocks):
         if not block:
             raise EmptyBlockError(f"block {index} is empty")
-        if any(e < 1 for e in block):
+        if min(block) < 1:
             raise NonPositiveExponentError(f"block {index} has a non-positive exponent: {block}")
     if value.m < 0:
         raise InvalidVarietyError("m must be nonnegative")
@@ -167,73 +171,56 @@ class TrinomialVariety:
 
     @cached_property
     def _gcds(self) -> tuple[int, ...]:
-        return tuple(math.gcd(*block) for block in self.blocks)
+        return tuple([math.gcd(*block) for block in self.blocks])
 
     @cached_property
     def _adjusted(self) -> bool:
-        if self.is_degenerate:
+        if len(self.blocks) < 3:
             return True
-        if any(block == (1,) for block in self.blocks):
+        if (1,) in self.blocks:
             return False
         gcds = self._gcds
-        head = math.gcd(gcds[0], gcds[1])
-        pairs = (
-            math.gcd(gcds[i], gcds[j])
-            for i in range(len(gcds))
-            for j in range(i + 1, len(gcds))
-        )
-        if any(head < p for p in pairs):
-            return False
-        tail = [math.gcd(gcds[0], gcds[j]) for j in range(2, len(gcds))]
-        return all(a >= b for a, b in zip(tail, tail[1:]))
+        head = bound = math.gcd(gcds[0], gcds[1])
+        for j in range(2, len(gcds)):
+            # gcd(L0, Lj) falls as j rises, and no pair exceeds gcd(L0, L1).
+            bound, previous = math.gcd(gcds[0], gcds[j]), bound
+            if bound > previous:
+                return False
+            for i in range(1, j):
+                if math.gcd(gcds[i], gcds[j]) > head:
+                    return False
+        return True
 
     @cached_property
     def _rationality(self) -> RationalityClass:
-        if self.is_degenerate:
+        if len(self.blocks) < 3:
             return RationalityClass(RationalityKind.FACTORIAL)
         gcds = self._gcds
-        count = len(gcds)
-
-        def pair(i: int, j: int) -> int:
-            return math.gcd(gcds[i], gcds[j])
-
-        others_coprime_outside = all(
-            pair(i, j) == 1
-            for i in range(count)
-            for j in range(i + 1, count)
-            if j >= 2
-        )
-        if pair(0, 1) == 1 and others_coprime_outside:
-            return RationalityClass(RationalityKind.FACTORIAL)
-        if pair(0, 1) > 1 and others_coprime_outside:
-            return RationalityClass(RationalityKind.CASE_II, pair(0, 1))
-        outside_012 = all(
-            pair(i, j) == 1
-            for i in range(count)
-            for j in range(i + 1, count)
-            if j >= 3
-        )
-        if pair(0, 1) == pair(0, 2) == pair(1, 2) == 2 and outside_012:
+        # Every pair (i, j) with j >= 3 must be coprime: L_j against the
+        # product of the earlier block gcds.
+        earlier = gcds[0] * gcds[1] * gcds[2]
+        for gj in gcds[3:]:
+            if math.gcd(earlier, gj) != 1:
+                return RationalityClass(RationalityKind.NON_RATIONAL)
+            earlier *= gj
+        g01 = math.gcd(gcds[0], gcds[1])
+        g02 = math.gcd(gcds[0], gcds[2])
+        g12 = math.gcd(gcds[1], gcds[2])
+        if g02 == g12 == 1:
+            if g01 == 1:
+                return RationalityClass(RationalityKind.FACTORIAL)
+            return RationalityClass(RationalityKind.CASE_II, g01)
+        if g01 == g02 == g12 == 2:
             return RationalityClass(RationalityKind.CASE_III)
         return RationalityClass(RationalityKind.NON_RATIONAL)
 
     @cached_property
     def _counts(self) -> tuple[int, ...]:
         gcds = self._gcds
-        c0 = math.gcd(gcds[1], gcds[2])
-        c1 = math.gcd(gcds[0], gcds[2])
-        c2 = math.gcd(gcds[0], gcds[1])
-        small = math.gcd(gcds[0], gcds[1], gcds[2])
-        product = c0 * c1 * c2
-        assert product % small == 0, "component count is not integral"
-        high = product // small
-        return (c0, c1, c2) + (high,) * (len(gcds) - 3)
-
-
-def _block_key(block: tuple[int, ...], original_index: int) -> tuple[int, int, int]:
-    # Deterministic tie-break: gcd descending, then size descending, then
-    # original position.
-    return (-math.gcd(*block), -len(block), original_index)
+        l0, l1, l2 = gcds[0], gcds[1], gcds[2]
+        c0, c1, c2 = math.gcd(l1, l2), math.gcd(l0, l2), math.gcd(l0, l1)
+        # gcd(c1, c2) = gcd(L0, L1, L2) divides every c(i): the quotient is exact.
+        return (c0, c1, c2) + (c0 * c1 * c2 // math.gcd(c1, c2),) * (len(gcds) - 3)
 
 
 @dataclass(frozen=True)
@@ -267,55 +254,55 @@ def adjust(variety: TrinomialVariety) -> tuple[TrinomialVariety, AdjustmentRecor
     leading block descending, then by key.  If fewer than three blocks
     survive the result is flagged degenerate.
 
-    Reordering and elimination rewire the relations, so exact coefficients
-    cannot be carried along; they are reset to generic placeholders with a
-    warning.
+    Input that is already in this order is returned itself, with the
+    identity record.  Otherwise reordering and elimination rewire the
+    relations, so exact coefficients cannot be carried along; they are reset
+    to generic placeholders with a warning.
     """
-    work = list(enumerate(variety.blocks))
-    eliminated: list[int] = []
-    while len(work) >= 3 and any(block == (1,) for _, block in work):
-        position = next(i for i, (_, block) in enumerate(work) if block == (1,))
-        eliminated.append(work.pop(position)[0])
-
-    ordered = sorted(work, key=lambda item: _block_key(item[1], item[0]))
-    degenerate = len(ordered) < 3
+    blocks, gcds = variety.blocks, variety._gcds
+    order = range(len(blocks))
+    eliminated = []
+    if (1,) in blocks:
+        # Leftmost first, to a fixpoint: the first (1,) blocks, keeping two.
+        eliminated = [i for i in order if blocks[i] == (1,)][: max(len(blocks) - 2, 0)]
+        order = [i for i in order if i not in eliminated]
+    # Block key: gcd descending, then size descending, then position.
+    order = sorted(order, key=lambda i: (-gcds[i], -len(blocks[i]), i))
+    degenerate = len(order) < 3
     if not degenerate:
-        gcds = {index: math.gcd(*block) for index, block in ordered}
-
-        def pair(a, b) -> int:
-            return math.gcd(gcds[a[0]], gcds[b[0]])
-
-        max_pair = max(pair(a, b) for k, a in enumerate(ordered) for b in ordered[k + 1 :])
-        first = next(
-            a for a in ordered if any(b is not a and pair(a, b) == max_pair for b in ordered)
-        )
-        second = next(b for b in ordered if b is not first and pair(first, b) == max_pair)
-        rest = [item for item in ordered if item is not first and item is not second]
+        # The lexicographically first pair (in key order) of maximal gcd
+        # leads.  Row k cannot beat `best` once L_k <= best, and the key
+        # order makes L_k non-increasing.
+        best, lead = 0, (0, 1)
+        for k, i in enumerate(order):
+            gi = gcds[i]
+            if gi <= best:
+                break
+            for q in range(k + 1, len(order)):
+                g = math.gcd(gi, gcds[order[q]])
+                if g > best:
+                    best, lead = g, (k, q)
+        first, second = order[lead[0]], order[lead[1]]
+        rest = [i for i in order if i != first and i != second]
+        g_first = gcds[first]
         # The sort is stable, so ties keep their key order.
-        rest.sort(key=lambda item: -pair(first, item))
-        ordered = [first, second] + rest
+        rest.sort(key=lambda i: -math.gcd(g_first, gcds[i]))
+        order = [first, second] + rest
 
-    record = AdjustmentRecord(tuple(eliminated), tuple(i for i, _ in ordered), degenerate)
-    identity = (
-        not degenerate
-        and not eliminated
-        and record.permutation == tuple(range(len(variety.blocks)))
-    )
-    adjusted = TrinomialVariety(
-        tuple(b for _, b in ordered), variety.m, variety.theta if identity else None
-    )
-    if not identity:
-        _warn_if_theta_dropped(variety)
+    record = AdjustmentRecord(tuple(eliminated), tuple(order), degenerate)
+    if not eliminated and order == list(range(len(blocks))):
+        adjusted = variety
+    else:
+        adjusted = TrinomialVariety(tuple(blocks[i] for i in order), variety.m)
+        adjusted.__dict__["_gcds"] = tuple(gcds[i] for i in order)
+        if variety.theta is not None and any(isinstance(t, Fraction) for t in variety.theta):
+            warnings.warn(
+                "adjustment rewires the relations; exact coefficients were reset "
+                "to generic placeholders",
+                stacklevel=2,
+            )
+    adjusted.__dict__["_adjusted"] = True
     return adjusted, record
-
-
-def _warn_if_theta_dropped(original: TrinomialVariety) -> None:
-    if original.theta is not None and any(isinstance(t, Fraction) for t in original.theta):
-        warnings.warn(
-            "adjustment rewires the relations; exact coefficients were reset "
-            "to generic placeholders",
-            stacklevel=3,
-        )
 
 
 def is_adjusted(variety: TrinomialVariety) -> bool:

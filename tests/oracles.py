@@ -8,6 +8,7 @@ import math
 from typing import Optional
 
 from tricl.exactlinalg import IntMatrix
+from tricl.variety import RationalityClass, RationalityKind
 
 
 def _block_key(block, original_index):
@@ -57,6 +58,73 @@ def adjust_by_pair_search(blocks):
             if best_keys is None or keys < best_keys:
                 best, best_keys = candidate, keys
     return tuple(eliminated), tuple(i for i, _ in best)
+
+
+def adjusted_reference(blocks) -> bool:
+    """The adjusted-form conditions, checked pair by pair.
+
+    Degenerate data (fewer than three blocks) is vacuously adjusted; a
+    single-variable block with exponent 1 forbids it; otherwise gcd(L0, L1)
+    bounds every pairwise gcd and gcd(L0, L2) >= gcd(L0, L3) >= ... holds.
+    """
+    if len(blocks) < 3:
+        return True
+    if any(tuple(block) == (1,) for block in blocks):
+        return False
+    gcds = [math.gcd(*block) for block in blocks]
+    head = math.gcd(gcds[0], gcds[1])
+    pairs = (
+        math.gcd(gcds[i], gcds[j])
+        for i in range(len(gcds))
+        for j in range(i + 1, len(gcds))
+    )
+    if any(head < p for p in pairs):
+        return False
+    tail = [math.gcd(gcds[0], gcds[j]) for j in range(2, len(gcds))]
+    return all(a >= b for a, b in zip(tail, tail[1:]))
+
+
+def rationality_reference(blocks) -> RationalityClass:
+    """The rationality class from the pairwise gcds, one pair at a time."""
+    if len(blocks) < 3:
+        return RationalityClass(RationalityKind.FACTORIAL)
+    gcds = [math.gcd(*block) for block in blocks]
+    count = len(gcds)
+
+    def pair(i: int, j: int) -> int:
+        return math.gcd(gcds[i], gcds[j])
+
+    others_coprime_outside = all(
+        pair(i, j) == 1
+        for i in range(count)
+        for j in range(i + 1, count)
+        if j >= 2
+    )
+    if pair(0, 1) == 1 and others_coprime_outside:
+        return RationalityClass(RationalityKind.FACTORIAL)
+    if pair(0, 1) > 1 and others_coprime_outside:
+        return RationalityClass(RationalityKind.CASE_II, pair(0, 1))
+    outside_012 = all(
+        pair(i, j) == 1
+        for i in range(count)
+        for j in range(i + 1, count)
+        if j >= 3
+    )
+    if pair(0, 1) == pair(0, 2) == pair(1, 2) == 2 and outside_012:
+        return RationalityClass(RationalityKind.CASE_III)
+    return RationalityClass(RationalityKind.NON_RATIONAL)
+
+
+def counts_reference(blocks) -> tuple[int, ...]:
+    """c(0), c(1), c(2) from the pairwise gcds, c(i) = c(0)c(1)c(2)/gcd(L0, L1, L2) after."""
+    gcds = [math.gcd(*block) for block in blocks]
+    c0 = math.gcd(gcds[1], gcds[2])
+    c1 = math.gcd(gcds[0], gcds[2])
+    c2 = math.gcd(gcds[0], gcds[1])
+    small = math.gcd(gcds[0], gcds[1], gcds[2])
+    product = c0 * c1 * c2
+    assert product % small == 0, "component count is not integral"
+    return (c0, c1, c2) + (product // small,) * (len(gcds) - 3)
 
 
 def smith_eliminate(work: list[list[int]], rows: int, cols: int,

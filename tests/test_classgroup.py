@@ -1,7 +1,11 @@
 """Tests for the class group formulas, the SNF presentation and predicates."""
 
+import gc
+import weakref
+
 import pytest
 
+from tricl import coxring
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
     GroupMethod,
@@ -279,3 +283,32 @@ class TestClassGroupReport:
         assert report.group == G(0, (2,))
         report = class_group_report(QUADRIC, GroupMethod.SNF)
         assert report.group == G(0, (2,))
+
+
+class TestTotalCoordinateSpaceBuiltOnce:
+    """Every route of one report shares the value's one total coordinate space."""
+
+    @pytest.mark.parametrize(
+        "blocks", [[[2], [2], [3]], [[2, 4], [2], [2, 6]], [[6, 12], [6], [5, 5], [7]]]
+    )
+    def test_report_builds_it_once(self, monkeypatch, blocks):
+        built = []
+        p1_rows = coxring._p1_rows
+        monkeypatch.setattr(coxring, "_p1_rows", lambda v: built.append(v) or p1_rows(v))
+        variety = V(blocks)
+        class_group_report(variety, GroupMethod.BOTH)
+        assert built == [variety]
+        relation_degree_order(variety)
+        class_group_report(variety, GroupMethod.BOTH)
+        assert built == [variety]
+
+    def test_cache_makes_no_reference_cycle(self):
+        variety = V([[2, 4], [2], [2, 6]])
+        assert coxring.total_coordinate_space(variety).source is variety
+        alive = weakref.ref(variety)
+        gc.disable()
+        try:
+            del variety
+            assert alive() is None
+        finally:
+            gc.enable()

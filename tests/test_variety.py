@@ -1,14 +1,21 @@
 """Tests for the variety data model, adjustment and gcd invariants."""
 
 import itertools
+import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adjust_by_pair_search
+from oracles import (
+    adjust_by_pair_search,
+    adjusted_reference,
+    counts_reference,
+    rationality_reference,
+)
 from tricl.cli import DEFAULT_MAX_BLOCK
 from tricl.errors import (
     DuplicateThetaError,
@@ -150,6 +157,21 @@ class TestAdjust:
         # all pair gcds equal 2; lexicographic key order puts the 4 first
         assert adjusted.blocks == ((4,), (2,), (2,))
 
+    def test_adjusted_input_comes_back_as_itself(self):
+        for combo in criterion_9_multisets():
+            adjusted, _ = adjust(V(combo))
+            again, record = adjust(adjusted)
+            assert again is adjusted, combo
+            assert record.eliminated == ()
+            assert record.permutation == tuple(range(len(adjusted.blocks)))
+
+    def test_exact_theta_kept_on_adjusted_input(self):
+        v = V([[4], [2], [5], [3]], theta=[Fraction(1, 2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adjusted, _ = adjust(v)
+        assert adjusted is v and adjusted.theta == (Fraction(1, 2),)
+
     def test_exact_theta_reset_warns(self):
         v = V([[3], [4], [2], [5]], theta=[Fraction(1, 2)])
         with pytest.warns(UserWarning):
@@ -192,6 +214,19 @@ def _seeded_blocks(rng, count):
     ]
 
 
+def criterion_9_multisets():
+    for count in (3, 4):
+        yield from itertools.combinations_with_replacement(BLOCK_CHOICES, count)
+
+
+def seeded_inputs_up_to_the_block_cap():
+    rng = random.Random(20261018)
+    # The CLI admits len(blocks) - 1 <= DEFAULT_MAX_BLOCK, so up to 17 blocks.
+    for count in range(3, DEFAULT_MAX_BLOCK + 2):
+        for _ in range(100):
+            yield _seeded_blocks(rng, count)
+
+
 class TestAdjustAgainstPairSearch:
     """`adjust` builds the order that the exhaustive pair search selects."""
 
@@ -201,16 +236,56 @@ class TestAdjustAgainstPairSearch:
         assert (record.eliminated, record.permutation) == adjust_by_pair_search(blocks), blocks
 
     def test_criterion_9_enumeration(self):
-        for count in (3, 4):
-            for combo in itertools.combinations_with_replacement(BLOCK_CHOICES, count):
-                self.assert_matches(combo)
+        for combo in criterion_9_multisets():
+            self.assert_matches(combo)
 
     def test_seeded_inputs_up_to_the_block_cap(self):
-        rng = random.Random(20261018)
-        # The CLI admits len(blocks) - 1 <= DEFAULT_MAX_BLOCK, so up to 17 blocks.
-        for count in range(3, DEFAULT_MAX_BLOCK + 2):
-            for _ in range(100):
-                self.assert_matches(_seeded_blocks(rng, count))
+        for blocks in seeded_inputs_up_to_the_block_cap():
+            self.assert_matches(blocks)
+
+
+class TestAnalysisAgainstReference:
+    """The analysis a value carries equals the pair-by-pair references.
+
+    It is checked on the raw input, on the value `adjust` returns (which
+    inherits the gcds and the adjusted flag) and on a value freshly built
+    from the adjusted data (which derives everything itself).
+    """
+
+    @staticmethod
+    def analysis(value):
+        counts = value._counts if len(value.blocks) >= 3 else None
+        return value._gcds, value._adjusted, value._rationality, counts
+
+    @classmethod
+    def assert_matches(cls, blocks):
+        raw = V(blocks)
+        assert raw._adjusted == adjusted_reference(raw.blocks), blocks
+        assert raw._rationality == rationality_reference(raw.blocks), blocks
+        adjusted, _ = adjust(raw)
+        fresh = V(adjusted.blocks, adjusted.m, adjusted.theta)
+        expected = (
+            tuple(math.gcd(*block) for block in adjusted.blocks),
+            True,
+            rationality_reference(adjusted.blocks),
+            counts_reference(adjusted.blocks) if len(adjusted.blocks) >= 3 else None,
+        )
+        assert adjusted_reference(adjusted.blocks), blocks
+        assert cls.analysis(adjusted) == expected, blocks
+        assert cls.analysis(fresh) == expected, blocks
+
+    def test_criterion_9_enumeration(self):
+        for combo in criterion_9_multisets():
+            self.assert_matches(combo)
+
+    def test_seeded_inputs_up_to_the_block_cap(self):
+        for blocks in seeded_inputs_up_to_the_block_cap():
+            self.assert_matches(blocks)
+
+    def test_adjust_hands_over_gcds_and_flag(self):
+        adjusted, _ = adjust(V([[3], [4], [2]]))
+        assert adjusted.__dict__["_gcds"] == (4, 2, 3)
+        assert adjusted.__dict__["_adjusted"] is True
 
 
 class TestIsAdjusted:
