@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .coxring import CoxConstruction, total_coordinate_space
 from .errors import (
@@ -47,6 +47,7 @@ from .variety import (
     RationalityClass,
     RationalityKind,
     TrinomialVariety,
+    _block_offsets,
     dimension,
     exponent_matrix,
     rationality_class,
@@ -87,14 +88,12 @@ def n_tilde(variety: TrinomialVariety) -> int:
         return 0
     if not kind.is_rational:
         raise NotRationalError("the rank formula needs a rational variety")
-    return _free_rank(variety)
+    return _free_rank(variety._counts, variety.blocks)
 
 
-def _free_rank(variety: TrinomialVariety) -> int:
-    """n_tilde of a variety known to be adjusted, rational and not degenerate."""
-    return sum(
-        (c - 1) * len(block) - c + 1 for c, block in zip(variety._counts, variety.blocks)
-    )
+def _free_rank(counts: Sequence[int], blocks: Sequence[Sequence[int]]) -> int:
+    """sum((c(i) - 1) n_i - c(i) + 1) over the blocks, for any variety family."""
+    return sum((c - 1) * len(block) - c + 1 for c, block in zip(counts, blocks))
 
 
 def class_group_formula(variety: TrinomialVariety) -> ClassGroup:
@@ -109,12 +108,12 @@ def class_group_formula(variety: TrinomialVariety) -> ClassGroup:
     gcds = variety.block_gcds()
     if kind.kind is RationalityKind.CASE_II:
         factors = [g for g in gcds[2:] for _ in range(kind.c - 1)]
-        return canonical_group(factors, _free_rank(variety))
-    if kind.kind is RationalityKind.CASE_III:
+    elif kind.kind is RationalityKind.CASE_III:
         factors = [gcds[0] * gcds[1] * gcds[2] // 4]
         factors += [g for g in gcds[3:] for _ in range(3)]
-        return canonical_group(factors, _free_rank(variety))
-    return NOT_FINITELY_GENERATED
+    else:
+        return NOT_FINITELY_GENERATED
+    return canonical_group(factors, _free_rank(variety._counts, variety.blocks))
 
 
 def rank_formula(variety: TrinomialVariety) -> int:
@@ -167,26 +166,17 @@ def compulsory_torsion(variety: TrinomialVariety) -> FgAbelianGroup:
     return closed
 
 
-def _tcs_column_offset(cox: CoxConstruction) -> list[int]:
-    """Start column of each source block in the (i, t, j) column layout."""
-    offsets = []
-    position = 0
-    for i, copies in enumerate(cox.tcs_blocks):
-        offsets.append(position)
-        position += len(copies) * len(copies[0])
-    return offsets
-
-
 def grading_matrix(variety: TrinomialVariety) -> IntMatrix:
     """Relation rows presenting the class group on the TCS generators.
 
     Columns are indexed by (i, t, j): source block i, copy t, variable j,
-    copies varying faster than blocks.  In case II the matrix is block
-    diagonal with one relation block A(c(i), l_{i,1}) per source block.  In
-    case III the rows are, for every (i, j), the sum of e_{ij,t} over t, and
-    for every (i, t) != (0, 1) the difference of the monomial rows
-    sum_j l_{ij,t} e_{ij,t} - sum_j l_{0j,1} e_{0j,1}.  The m free variables
-    have degree zero and contribute no columns.
+    with j varying fastest and copies faster than blocks, which is the
+    column order of the flattened TCS blocks.  In case II the matrix is
+    block diagonal with one relation block A(c(i), l_{i,1}) per source
+    block.  In case III the rows are, for every (i, j), the sum of e_{ij,t}
+    over t, and for every (i, t) != (0, 1) the difference of the monomial
+    rows sum_j l_{ij,t} e_{ij,t} - sum_j l_{0j,1} e_{0j,1}.  The m free
+    variables have degree zero and contribute no columns.
     """
     kind = _require_rational_nonfactorial(variety)
     return _grading_rows(kind, total_coordinate_space(variety))
@@ -199,31 +189,24 @@ def _grading_rows(kind: RationalityClass, cox: CoxConstruction) -> IntMatrix:
             [matrix_A(cox.c[i], copies[0]) for i, copies in enumerate(cox.tcs_blocks)]
         )
 
-    offsets = _tcs_column_offset(cox)
-
-    def column(i: int, t: int, j: int) -> int:
-        block_length = len(cox.tcs_blocks[i][0])
-        return offsets[i] + (t - 1) * block_length + (j - 1)
-
+    # Flattened, the TCS blocks are the (i, t) pairs in column order.
+    offsets = _block_offsets(cox.tcs.blocks)
     rows = []
-    for i, copies in enumerate(cox.tcs_blocks):
-        for j in range(1, len(copies[0]) + 1):
+    start = 0
+    for copies in cox.tcs_blocks:
+        columns = offsets[start : start + len(copies)]
+        start += len(copies)
+        for j in range(len(copies[0])):
             row = [0] * cox.n_prime
-            for t in range(1, len(copies) + 1):
-                row[column(i, t, j)] = 1
+            for column in columns:
+                row[column + j] = 1
             rows.append(row)
-    base = cox.tcs_blocks[0][0]
-    for i, copies in enumerate(cox.tcs_blocks):
-        for t in range(1, len(copies) + 1):
-            if (i, t) == (0, 1):
-                continue
-            row = [0] * cox.n_prime
-            vector = copies[t - 1]
-            for j in range(1, len(vector) + 1):
-                row[column(i, t, j)] += vector[j - 1]
-            for j in range(1, len(base) + 1):
-                row[column(0, 1, j)] -= base[j - 1]
-            rows.append(row)
+    base = cox.tcs.blocks[0]
+    for vector, column in zip(cox.tcs.blocks[1:], offsets[1:]):
+        row = [0] * cox.n_prime
+        row[: len(base)] = [-e for e in base]
+        row[column : column + len(vector)] = vector
+        rows.append(row)
     return IntMatrix.from_rows(rows, cox.n_prime)
 
 

@@ -54,10 +54,8 @@ from .errors import (
     FactorialInputError,
     InvalidVarietyError,
     IterationNotAdmittedError,
-    NotAdjustedError,
     NotHyperplatonicError,
     NotRationalError,
-    OracleMismatchError,
 )
 from .exactlinalg import IntMatrix
 from .selftest import run_selftest
@@ -181,11 +179,17 @@ def _triple_json(triple) -> Optional[dict]:
     return {"triple": list(triple.as_tuple()), "ade_label": triple.ade_label}
 
 
+def _variety_json(variety: Union[TrinomialVariety, Type1Variety]) -> dict:
+    return {
+        "blocks": [list(b) for b in variety.blocks],
+        "m": variety.m,
+        "degenerate": variety.is_degenerate,
+    }
+
+
 def _adjusted_json(adjusted: TrinomialVariety, record) -> dict:
     return {
-        "blocks": [list(b) for b in adjusted.blocks],
-        "m": adjusted.m,
-        "degenerate": adjusted.is_degenerate,
+        **_variety_json(adjusted),
         "eliminated_blocks": list(record.eliminated),
         "permutation": list(record.permutation),
         "relations": render_relations(adjusted),
@@ -225,9 +229,7 @@ def _chain_json(chain: IterationChain) -> dict:
     for step in chain.steps:
         steps.append(
             {
-                "blocks": [list(b) for b in step.variety.blocks],
-                "m": step.variety.m,
-                "degenerate": step.variety.is_degenerate,
+                **_variety_json(step.variety),
                 "class_group": group_json(step.class_group),
                 "basic_platonic_triple": _triple_json(step.triple),
             }
@@ -269,11 +271,7 @@ def _type1_json(spec: VarietySpec) -> dict:
     lift = lift_to_type2(adjusted)
     lift_report = class_group_report(adjust(lift)[0], GroupMethod.FORMULA)
     return {
-        "adjusted": {
-            "blocks": [list(b) for b in adjusted.blocks],
-            "m": adjusted.m,
-            "degenerate": adjusted.is_degenerate,
-        },
+        "adjusted": _variety_json(adjusted),
         "class_group": group_json(group),
         "lift": {
             "blocks": [list(b) for b in lift.blocks],
@@ -299,12 +297,7 @@ def _run_single(command: str, spec: VarietySpec, method: GroupMethod) -> dict:
 
     if command == "adjust":
         if spec.kind == "type1":
-            adjusted = adjust_type1(spec.to_variety())
-            out["adjusted"] = {
-                "blocks": [list(b) for b in adjusted.blocks],
-                "m": adjusted.m,
-                "degenerate": adjusted.is_degenerate,
-            }
+            out["adjusted"] = _variety_json(adjust_type1(spec.to_variety()))
             return out
         adjusted, record = adjust(spec.to_variety())
         out["adjusted"] = _adjusted_json(adjusted, record)
@@ -390,8 +383,6 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_NOT_FINITELY_GENERATED
     if isinstance(exc, (IterationNotAdmittedError, NotHyperplatonicError)):
         return EXIT_NOT_ADMITTED
-    if isinstance(exc, (OracleMismatchError, NotAdjustedError)):
-        return EXIT_INTERNAL_MISMATCH
     return EXIT_INTERNAL_MISMATCH
 
 

@@ -23,38 +23,29 @@ from .errors import (
     OracleMismatchError,
 )
 from .exactlinalg import FgAbelianGroup, IntMatrix, is_saturated_sublattice, matrix_A, matrix_B
-from .variety import TrinomialVariety, adjust, exponent_matrix, rationality_class
-
-
-def _block_offsets(variety: TrinomialVariety) -> list[int]:
-    offsets = []
-    position = 0
-    for block in variety.blocks:
-        offsets.append(position)
-        position += len(block)
-    return offsets
+from .variety import (
+    TrinomialVariety,
+    _block_offsets,
+    _monomial,
+    adjust,
+    exponent_matrix,
+    rationality_class,
+)
 
 
 def _p1_rows(variety: TrinomialVariety) -> IntMatrix:
     """The r x (n + m) matrix whose column gcds carry the TCS exponents.
 
-    Row 1 couples blocks 0 and 1 scaled by 1/gcd(L0, L1), row 2 couples
-    blocks 0 and 2 scaled by 1/gcd(L0, L2), the remaining rows couple block 0
-    with block i unscaled.
+    The exponent matrix with row 1 divided by gcd(L0, L1) and row 2 by
+    gcd(L0, L2); both divide their rows exactly.
     """
     gcds = variety.block_gcds()
-    offsets = _block_offsets(variety)
-    width = variety.n + variety.m
-    l0 = variety.blocks[0]
-    rows = []
-    for i in range(1, len(variety.blocks)):
-        scale = math.gcd(gcds[0], gcds[i]) if i <= 2 else 1
-        row = [0] * width
-        row[: len(l0)] = [-e // scale for e in l0]
-        li = variety.blocks[i]
-        row[offsets[i] : offsets[i] + len(li)] = [e // scale for e in li]
-        rows.append(row)
-    return IntMatrix.from_rows(rows, width)
+    matrix = exponent_matrix(variety)
+    head = []
+    for i in (1, 2):
+        scale = math.gcd(gcds[0], gcds[i])
+        head += [e // scale for e in matrix.row(i - 1)]
+    return IntMatrix(matrix.rows, matrix.cols, tuple(head) + matrix.entries[2 * matrix.cols :])
 
 
 def p1_matrix(variety: TrinomialVariety) -> IntMatrix:
@@ -102,8 +93,9 @@ def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
     if kind.is_factorial:
         ones = (1,) * len(variety.blocks)
         grouped = tuple((block,) for block in variety.blocks)
+        # Every pairwise gcd is 1, so no row of the exponent matrix is scaled.
         if len(variety.blocks) >= 2:
-            p1 = _p1_rows(variety) if len(variety.blocks) >= 3 else exponent_matrix(variety)
+            p1 = exponent_matrix(variety)
         else:
             p1 = IntMatrix.zeros(0, variety.n + variety.m)
         return CoxConstruction(
@@ -128,7 +120,7 @@ def _tcs_parts(variety: TrinomialVariety) -> tuple:
     """The fields after ``source`` of a non-factorial `CoxConstruction`."""
     p1 = _p1_rows(variety)
     counts = variety._counts
-    offsets = _block_offsets(variety)
+    offsets = _block_offsets(variety.blocks)
     grouped = []
     for i, block in enumerate(variety.blocks):
         # gcd over the whole column; zero entries outside the structural
@@ -318,16 +310,6 @@ def duval_surface(triple: PlatonicTriple) -> TrinomialVariety:
     return TrinomialVariety(((triple.a,), (triple.b,), (triple.c,)), 0)
 
 
-def _power_monomial(block_index: int, exponents: Sequence[int]) -> str:
-    parts = []
-    for j, e in enumerate(exponents, start=1):
-        if e == 0:
-            continue
-        name = f"T{block_index}{j}"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 @dataclass(frozen=True)
 class DuvalDiagram:
     """The commuting square relating a hyperplatonic variety to surfaces.
@@ -354,12 +336,8 @@ class DuvalDiagram:
 
 def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
     """Build and verify the surface correspondence for a hyperplatonic variety."""
+    x_triple = basic_platonic_triple(variety)  # the triple is invariant under adjust
     adjusted = adjust(variety)[0]
-    x_triple = is_hyperplatonic(adjusted)
-    if x_triple is None:
-        raise NotHyperplatonicError(
-            f"variety with block gcds {variety.block_gcds()} is not hyperplatonic"
-        )
     cox = total_coordinate_space(adjusted)
     xprime = adjust(cox.tcs)[0]
     xprime_triple = is_hyperplatonic(xprime)
@@ -379,7 +357,7 @@ def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
     )
 
     gcds = adjusted.block_gcds()
-    offsets = _block_offsets(adjusted)
+    offsets = _block_offsets(adjusted.blocks)
     p_tilde_rows = []
     generators = []
     for i, block in enumerate(adjusted.blocks):
@@ -387,7 +365,7 @@ def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
         scaled = [e // gcds[i] for e in block]
         row[offsets[i] : offsets[i] + len(block)] = scaled
         p_tilde_rows.append(row)
-        generators.append(_power_monomial(i, scaled))
+        generators.append(_monomial(i, scaled))
     p_tilde = IntMatrix.from_rows(p_tilde_rows, adjusted.n)
 
     saturation_ok = all(

@@ -83,10 +83,6 @@ class IntMatrix:
         return cls(len(data), cols, flat)
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
@@ -103,34 +99,11 @@ class IntMatrix:
         """Mutable row-of-lists copy, for in-place elimination."""
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def stack(self, other: "IntMatrix") -> "IntMatrix":
-        """Vertical concatenation; both matrices must have the same width."""
-        if self.cols != other.cols:
-            raise ValueError("column counts differ")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def with_row(self, row: Sequence[int]) -> "IntMatrix":
         row = tuple(int(x) for x in row)
         if len(row) != self.cols:
             raise ValueError("row length does not match column count")
         return IntMatrix(self.rows + 1, self.cols, self.entries + row)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions differ")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other[k, j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -610,21 +583,12 @@ def matrix_B(k: int, exponents: Sequence[int], frak_l: int) -> IntMatrix:
     horizontal copies of exponents/frak_l, so the result has k + 1 rows.
     `frak_l` must divide every exponent.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    l = tuple(int(x) for x in exponents)
-    if not l or any(x < 1 for x in l):
-        raise ValueError("exponent vector must be nonempty with positive entries")
+    a = matrix_A(k, exponents)
+    l = a.entries[: a.rows - k]  # row 0 starts with the exponent vector
     if frak_l < 1 or any(x % frak_l for x in l):
         raise ValueError(f"{frak_l} does not divide all of {l}")
-    n = len(l)
-    rows = []
-    for t in range(k):
-        row = [0] * (k * n)
-        row[t * n : (t + 1) * n] = list(l)
-        rows.append(row)
-    rows.append([x // frak_l for x in l] * k)
-    return IntMatrix.from_rows(rows, k * n)
+    top = IntMatrix(k, a.cols, a.entries[: k * a.cols])
+    return top.with_row([x // frak_l for x in l] * k)
 
 
 def hermite_basis(matrix: IntMatrix) -> IntMatrix:
@@ -688,16 +652,6 @@ def coordinates_in_lattice(basis: IntMatrix, vector: Sequence[int]) -> Optional[
     if any(residual):
         return None
     return tuple(coords)
-
-
-def is_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:
-    """True iff the row lattice of `sub` is contained in that of `sup`."""
-    if sub.cols != sup.cols:
-        raise ValueError("lattices live in different ambient spaces")
-    basis = hermite_basis(sup)
-    return all(
-        coordinates_in_lattice(basis, sub.row(i)) is not None for i in range(sub.rows)
-    )
 
 
 def is_saturated_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:

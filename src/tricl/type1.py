@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .classgroup import NOT_FINITELY_GENERATED, ClassGroup
+from .classgroup import NOT_FINITELY_GENERATED, ClassGroup, _free_rank
 from .errors import NotAdjustedError
 from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup
 from .variety import TrinomialVariety, _check_fields, _coerce_fields
@@ -96,10 +96,7 @@ def type1_n_tilde(variety: Type1Variety) -> int:
     require_adjusted_type1(variety)
     if variety.is_degenerate:
         return 0
-    counts = type1_component_counts(variety)
-    return sum(
-        (c - 1) * len(block) - c + 1 for c, block in zip(counts, variety.blocks)
-    )
+    return _free_rank(type1_component_counts(variety), variety.blocks)
 
 
 def class_group_type1(variety: Type1Variety) -> ClassGroup:

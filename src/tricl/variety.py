@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     DuplicateThetaError,
@@ -63,9 +64,22 @@ def _coerce_theta(theta) -> Optional[tuple[Theta, ...]]:
 
 
 def _coerce_fields(value) -> None:
-    """Normalise the blocks, m and theta of a frozen variety value in place."""
-    object.__setattr__(value, "blocks", tuple([tuple(map(int, b)) for b in value.blocks]))
-    object.__setattr__(value, "m", int(value.m))
+    """Normalise the blocks, m and theta of a frozen variety value in place.
+
+    Exponents and m must be integers: a float raises rather than truncates.
+    """
+    try:
+        blocks = tuple([tuple(map(operator.index, b)) for b in value.blocks])
+    except TypeError as exc:
+        raise InvalidVarietyError(
+            f"blocks must be lists of integers, got {value.blocks!r}"
+        ) from exc
+    try:
+        m = operator.index(value.m)
+    except TypeError as exc:
+        raise InvalidVarietyError(f"m must be an integer, got {value.m!r}") from exc
+    object.__setattr__(value, "blocks", blocks)
+    object.__setattr__(value, "m", m)
     object.__setattr__(value, "theta", _coerce_theta(value.theta))
 
 
@@ -373,6 +387,16 @@ def dimension(variety: TrinomialVariety) -> int:
     return variety.n + variety.m - variety.relation_count
 
 
+def _block_offsets(blocks: Sequence[Sequence[int]]) -> list[int]:
+    """Start column of each block when the blocks are laid out side by side."""
+    offsets = []
+    position = 0
+    for block in blocks:
+        offsets.append(position)
+        position += len(block)
+    return offsets
+
+
 def exponent_matrix(variety: TrinomialVariety) -> IntMatrix:
     """The r x (n + m) exponent matrix with rows (-l_0, 0.., l_i, ..0).
 
@@ -381,11 +405,7 @@ def exponent_matrix(variety: TrinomialVariety) -> IntMatrix:
     """
     if len(variety.blocks) < 2:
         raise InvalidVarietyError("exponent matrix needs at least two blocks")
-    offsets = []
-    position = 0
-    for block in variety.blocks:
-        offsets.append(position)
-        position += len(block)
+    offsets = _block_offsets(variety.blocks)
     width = variety.n + variety.m
     rows = []
     l0 = variety.blocks[0]
@@ -398,7 +418,7 @@ def exponent_matrix(variety: TrinomialVariety) -> IntMatrix:
     return IntMatrix.from_rows(rows, width)
 
 
-def _monomial(block_index: int, block: tuple[int, ...]) -> str:
+def _monomial(block_index: int, block: Sequence[int]) -> str:
     parts = []
     for j, e in enumerate(block, start=1):
         name = f"T{block_index}{j}"

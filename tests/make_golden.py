@@ -22,6 +22,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from tricl.cli import main as cli_main
+
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
 
 COMMANDS = (("report", "--method", "both"), ("coxring",), ("duval",))
@@ -74,13 +76,11 @@ def run(name: str, spec: dict, command: tuple[str, ...], workdir: Path) -> dict:
     replaced by the bare file name in the output, so records do not depend
     on where they were made.
     """
-    from tricl.cli import main
-
     path = workdir / f"{name}.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command[0], "--format", "json", str(path), *command[1:]])
+        code = cli_main([command[0], "--format", "json", str(path), *command[1:]])
     return {
         "input": name,
         "command": list(command),

@@ -7,7 +7,13 @@ import itertools
 import math
 from typing import Optional
 
-from tricl.exactlinalg import IntMatrix
+from tricl.exactlinalg import (
+    IntMatrix,
+    block_diagonal,
+    coordinates_in_lattice,
+    hermite_basis,
+    matrix_A,
+)
 from tricl.variety import RationalityClass, RationalityKind
 
 
@@ -315,3 +321,134 @@ def determinantal_divisor(matrix: IntMatrix, k: int) -> int:
             if g == 1:
                 return 1
     return g
+
+
+def identity(n: int) -> IntMatrix:
+    """The n x n identity matrix."""
+    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def transpose(matrix: IntMatrix) -> IntMatrix:
+    return IntMatrix(
+        matrix.cols,
+        matrix.rows,
+        tuple(matrix[i, j] for j in range(matrix.cols) for i in range(matrix.rows)),
+    )
+
+
+def stack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
+    """Vertical concatenation; both matrices must have the same width."""
+    if top.cols != bottom.cols:
+        raise ValueError("column counts differ")
+    return IntMatrix(top.rows + bottom.rows, top.cols, top.entries + bottom.entries)
+
+
+def matmul(left: IntMatrix, right: IntMatrix) -> IntMatrix:
+    """The matrix product left @ right."""
+    if left.cols != right.rows:
+        raise ValueError("inner dimensions differ")
+    out = []
+    for i in range(left.rows):
+        ri = left.row(i)
+        for j in range(right.cols):
+            out.append(sum(ri[k] * right[k, j] for k in range(left.cols)))
+    return IntMatrix(left.rows, right.cols, tuple(out))
+
+
+def is_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:
+    """True iff the row lattice of `sub` is contained in that of `sup`."""
+    if sub.cols != sup.cols:
+        raise ValueError("lattices live in different ambient spaces")
+    basis = hermite_basis(sup)
+    return all(
+        coordinates_in_lattice(basis, sub.row(i)) is not None for i in range(sub.rows)
+    )
+
+
+def p1_rows_reference(variety) -> IntMatrix:
+    """The scaled exponent matrix, built row by row from the block offsets.
+
+    Row 1 couples blocks 0 and 1 scaled by 1/gcd(L0, L1), row 2 couples
+    blocks 0 and 2 scaled by 1/gcd(L0, L2), the remaining rows couple block 0
+    with block i unscaled.
+    """
+    gcds = variety.block_gcds()
+    offsets = []
+    position = 0
+    for block in variety.blocks:
+        offsets.append(position)
+        position += len(block)
+    width = variety.n + variety.m
+    l0 = variety.blocks[0]
+    rows = []
+    for i in range(1, len(variety.blocks)):
+        scale = math.gcd(gcds[0], gcds[i]) if i <= 2 else 1
+        row = [0] * width
+        row[: len(l0)] = [-e // scale for e in l0]
+        li = variety.blocks[i]
+        row[offsets[i] : offsets[i] + len(li)] = [e // scale for e in li]
+        rows.append(row)
+    return IntMatrix.from_rows(rows, width)
+
+
+def grading_rows_reference(kind: RationalityClass, cox) -> IntMatrix:
+    """The grading matrix, with an explicit (i, t, j) -> column map.
+
+    Columns are indexed by (i, t, j): source block i, copy t, variable j,
+    copies varying faster than blocks.
+    """
+    if kind.kind is RationalityKind.CASE_II:
+        return block_diagonal(
+            [matrix_A(cox.c[i], copies[0]) for i, copies in enumerate(cox.tcs_blocks)]
+        )
+
+    offsets = []
+    position = 0
+    for copies in cox.tcs_blocks:
+        offsets.append(position)
+        position += len(copies) * len(copies[0])
+
+    def column(i: int, t: int, j: int) -> int:
+        block_length = len(cox.tcs_blocks[i][0])
+        return offsets[i] + (t - 1) * block_length + (j - 1)
+
+    rows = []
+    for i, copies in enumerate(cox.tcs_blocks):
+        for j in range(1, len(copies[0]) + 1):
+            row = [0] * cox.n_prime
+            for t in range(1, len(copies) + 1):
+                row[column(i, t, j)] = 1
+            rows.append(row)
+    base = cox.tcs_blocks[0][0]
+    for i, copies in enumerate(cox.tcs_blocks):
+        for t in range(1, len(copies) + 1):
+            if (i, t) == (0, 1):
+                continue
+            row = [0] * cox.n_prime
+            vector = copies[t - 1]
+            for j in range(1, len(vector) + 1):
+                row[column(i, t, j)] += vector[j - 1]
+            for j in range(1, len(base) + 1):
+                row[column(0, 1, j)] -= base[j - 1]
+            rows.append(row)
+    return IntMatrix.from_rows(rows, cox.n_prime)
+
+
+def matrix_B_reference(k: int, exponents, frak_l: int) -> IntMatrix:
+    """k rows with one copy of the exponent vector per column block, then
+    one row of k copies of exponents/frak_l."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    l = tuple(int(x) for x in exponents)
+    if not l or any(x < 1 for x in l):
+        raise ValueError("exponent vector must be nonempty with positive entries")
+    if frak_l < 1 or any(x % frak_l for x in l):
+        raise ValueError(f"{frak_l} does not divide all of {l}")
+    n = len(l)
+    rows = []
+    for t in range(k):
+        row = [0] * (k * n)
+        row[t * n : (t + 1) * n] = list(l)
+        rows.append(row)
+    rows.append([x // frak_l for x in l] * k)
+    return IntMatrix.from_rows(rows, k * n)

@@ -25,6 +25,7 @@ from tricl.errors import (
     NotAdjustedError,
 )
 from tricl.exactlinalg import IntMatrix
+from tricl.type1 import Type1Variety
 from tricl.variety import (
     RationalityKind,
     TrinomialVariety,
@@ -88,6 +89,23 @@ class TestValidate:
     def test_theta_that_is_not_a_rational(self, text):
         with pytest.raises(InvalidVarietyError, match="neither 'generic' nor a rational"):
             V([[2], [3], [5], [7]], theta=[text])
+
+    @pytest.mark.parametrize("family", [TrinomialVariety, Type1Variety])
+    @pytest.mark.parametrize(
+        "blocks, m",
+        [
+            ([[2.5], [3], [5]], 0),
+            ([["a"], [3], [5]], 0),
+            ([[2], ["3"], [5]], 0),
+            ([2, 3, 5], 0),
+            ([[2], [3], [5]], 1.7),
+            ([[2], [3], [5]], "x"),
+            ([[2], [3], [5]], None),
+        ],
+    )
+    def test_exponents_and_m_that_are_not_integers(self, family, blocks, m):
+        with pytest.raises(InvalidVarietyError, match="must be"):
+            family(blocks, m=m)
 
 
 class TestInvariants:
