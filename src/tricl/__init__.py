@@ -19,6 +19,7 @@ from .errors import (
     NotHyperplatonicError,
     NotRationalError,
     OracleMismatchError,
+    ResourceLimitError,
     TriclError,
 )
 from .exactlinalg import (
@@ -26,7 +27,6 @@ from .exactlinalg import (
     FgAbelianGroup,
     IntMatrix,
     SmithData,
-    block_diagonal,
     canonical_group,
     cokernel,
     element_order_in_cokernel,
@@ -39,6 +39,7 @@ from .exactlinalg import (
 from .variety import (
     AdjustmentRecord,
     BlockInvariants,
+    MAX_N_PRIME,
     component_counts,
     RationalityClass,
     RationalityKind,

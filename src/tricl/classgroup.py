@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .coxring import CoxConstruction, total_coordinate_space
 from .errors import (
@@ -37,48 +37,27 @@ from .exactlinalg import (
     TRIVIAL_GROUP,
     FgAbelianGroup,
     IntMatrix,
-    block_diagonal,
+    _relation_rows,
     canonical_group,
     cokernel,
     element_order_in_cokernel,
-    matrix_A,
 )
 from .variety import (
+    NOT_FINITELY_GENERATED,
+    ClassGroup,
+    NotFinitelyGenerated,
     RationalityClass,
     RationalityKind,
     TrinomialVariety,
     _block_offsets,
+    _exponent_rows,
+    _free_rank,
+    class_group_formula,
     dimension,
     exponent_matrix,
     rationality_class,
     require_adjusted,
 )
-
-
-class NotFinitelyGenerated:
-    """Singleton marker value: the class group is not finitely generated.
-
-    Returned (never raised) by the formula route; operations that need an
-    actual group treat it as a precondition failure.
-    """
-
-    _instance: Optional["NotFinitelyGenerated"] = None
-
-    def __new__(cls) -> "NotFinitelyGenerated":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NotFinitelyGenerated"
-
-    def __str__(self) -> str:
-        return "not finitely generated"
-
-
-NOT_FINITELY_GENERATED = NotFinitelyGenerated()
-
-ClassGroup = Union[FgAbelianGroup, NotFinitelyGenerated]
 
 
 def n_tilde(variety: TrinomialVariety) -> int:
@@ -89,31 +68,6 @@ def n_tilde(variety: TrinomialVariety) -> int:
     if not kind.is_rational:
         raise NotRationalError("the rank formula needs a rational variety")
     return _free_rank(variety._counts, variety.blocks)
-
-
-def _free_rank(counts: Sequence[int], blocks: Sequence[Sequence[int]]) -> int:
-    """sum((c(i) - 1) n_i - c(i) + 1) over the blocks, for any variety family."""
-    return sum((c - 1) * len(block) - c + 1 for c, block in zip(counts, blocks))
-
-
-def class_group_formula(variety: TrinomialVariety) -> ClassGroup:
-    """Divisor class group by the closed formulas, in canonical form.
-
-    Degenerate data is an affine space with trivial group.  Non-rational
-    input returns the NOT_FINITELY_GENERATED marker.
-    """
-    kind = rationality_class(variety)
-    if kind.is_factorial:
-        return TRIVIAL_GROUP
-    gcds = variety.block_gcds()
-    if kind.kind is RationalityKind.CASE_II:
-        factors = [g for g in gcds[2:] for _ in range(kind.c - 1)]
-    elif kind.kind is RationalityKind.CASE_III:
-        factors = [gcds[0] * gcds[1] * gcds[2] // 4]
-        factors += [g for g in gcds[3:] for _ in range(3)]
-    else:
-        return NOT_FINITELY_GENERATED
-    return canonical_group(factors, _free_rank(variety._counts, variety.blocks))
 
 
 def rank_formula(variety: TrinomialVariety) -> int:
@@ -183,31 +137,22 @@ def grading_matrix(variety: TrinomialVariety) -> IntMatrix:
 
 
 def _grading_rows(kind: RationalityClass, cox: CoxConstruction) -> IntMatrix:
-    """`grading_matrix` of the variety whose total coordinate space is `cox`."""
-    if kind.kind is RationalityKind.CASE_II:
-        return block_diagonal(
-            [matrix_A(cox.c[i], copies[0]) for i, copies in enumerate(cox.tcs_blocks)]
-        )
-
+    """Sparse `grading_matrix` of the variety whose total coordinate space is `cox`."""
     # Flattened, the TCS blocks are the (i, t) pairs in column order.
     offsets = _block_offsets(cox.tcs.blocks)
     rows = []
     start = 0
     for copies in cox.tcs_blocks:
-        columns = offsets[start : start + len(copies)]
+        if kind.kind is RationalityKind.CASE_II:
+            rows += _relation_rows(len(copies), copies[0], offsets[start])
+        else:
+            columns = offsets[start : start + len(copies)]
+            rows += [{column + j: 1 for column in columns} for j in range(len(copies[0]))]
         start += len(copies)
-        for j in range(len(copies[0])):
-            row = [0] * cox.n_prime
-            for column in columns:
-                row[column + j] = 1
-            rows.append(row)
-    base = cox.tcs.blocks[0]
-    for vector, column in zip(cox.tcs.blocks[1:], offsets[1:]):
-        row = [0] * cox.n_prime
-        row[: len(base)] = [-e for e in base]
-        row[column : column + len(vector)] = vector
-        rows.append(row)
-    return IntMatrix.from_rows(rows, cox.n_prime)
+    if kind.kind is RationalityKind.CASE_III:
+        # The monomial rows of (i, t) less that of (0, 1): the exponent rows.
+        rows += _exponent_rows(cox.tcs.blocks)
+    return IntMatrix.from_sparse(rows, cox.n_prime)
 
 
 def class_group_snf(variety: TrinomialVariety) -> FgAbelianGroup:

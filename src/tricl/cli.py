@@ -13,7 +13,7 @@ Output goes to stdout as indented text or, with --format json (before or
 after the subcommand), as one JSON object per input.  Exit codes: 0
 success, 2 invalid input, 3 class group not finitely generated where a
 group was demanded, 4 iteration/diagram not admitted, 5 internal
-cross-check mismatch.
+cross-check mismatch, 6 input beyond the size handled (or out of memory).
 
 Variety data is checked when the variety is constructed; structural errors
 exit 2.  With --method formula no Smith form presents the class group, but
@@ -56,6 +56,7 @@ from .errors import (
     IterationNotAdmittedError,
     NotHyperplatonicError,
     NotRationalError,
+    ResourceLimitError,
 )
 from .exactlinalg import IntMatrix
 from .selftest import run_selftest
@@ -74,6 +75,7 @@ EXIT_INVALID_INPUT = 2
 EXIT_NOT_FINITELY_GENERATED = 3
 EXIT_NOT_ADMITTED = 4
 EXIT_INTERNAL_MISMATCH = 5
+EXIT_RESOURCE_LIMIT = 6
 
 DEFAULT_MAX_BLOCK = 16
 
@@ -383,6 +385,8 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_NOT_FINITELY_GENERATED
     if isinstance(exc, (IterationNotAdmittedError, NotHyperplatonicError)):
         return EXIT_NOT_ADMITTED
+    if isinstance(exc, (ResourceLimitError, MemoryError)):
+        return EXIT_RESOURCE_LIMIT
     return EXIT_INTERNAL_MISMATCH
 
 

@@ -26,9 +26,11 @@ from .exactlinalg import FgAbelianGroup, IntMatrix, is_saturated_sublattice, mat
 from .variety import (
     TrinomialVariety,
     _block_offsets,
+    _checked_n_prime,
+    _exponent_rows,
     _monomial,
     adjust,
-    exponent_matrix,
+    class_group_formula,
     rationality_class,
 )
 
@@ -40,12 +42,11 @@ def _p1_rows(variety: TrinomialVariety) -> IntMatrix:
     gcd(L0, L2); both divide their rows exactly.
     """
     gcds = variety.block_gcds()
-    matrix = exponent_matrix(variety)
-    head = []
+    rows = _exponent_rows(variety.blocks)
     for i in (1, 2):
         scale = math.gcd(gcds[0], gcds[i])
-        head += [e // scale for e in matrix.row(i - 1)]
-    return IntMatrix(matrix.rows, matrix.cols, tuple(head) + matrix.entries[2 * matrix.cols :])
+        rows[i - 1] = {j: e // scale for j, e in rows[i - 1].items()}
+    return IntMatrix.from_sparse(rows, variety.n + variety.m)
 
 
 def p1_matrix(variety: TrinomialVariety) -> IntMatrix:
@@ -85,6 +86,7 @@ def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
     each source block i contributes c(i) copies of the vector of column gcds
     of the scaled exponent matrix; the free-variable count m is preserved.
     That construction is built once per value; later calls share its fields.
+    Beyond MAX_N_PRIME generators it raises ResourceLimitError up front.
     """
     kind = rationality_class(variety)
     if not kind.is_rational:
@@ -94,10 +96,7 @@ def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
         ones = (1,) * len(variety.blocks)
         grouped = tuple((block,) for block in variety.blocks)
         # Every pairwise gcd is 1, so no row of the exponent matrix is scaled.
-        if len(variety.blocks) >= 2:
-            p1 = exponent_matrix(variety)
-        else:
-            p1 = IntMatrix.zeros(0, variety.n + variety.m)
+        p1 = IntMatrix.from_sparse(_exponent_rows(variety.blocks), variety.n + variety.m)
         return CoxConstruction(
             source=variety,
             p1=p1,
@@ -112,6 +111,7 @@ def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
     # hold no reference back to `variety`, so the cache makes no cycle.
     parts = variety.__dict__.get("_tcs_parts")
     if parts is None:
+        _checked_n_prime(variety)
         parts = variety.__dict__["_tcs_parts"] = _tcs_parts(variety)
     return CoxConstruction(variety, *parts)
 
@@ -275,8 +275,6 @@ def iterate_cox_rings(variety: TrinomialVariety) -> IterationChain:
     input is adjusted internally.  Each step records the adjusted variety,
     its class group and, when hyperplatonic, its basic platonic triple.
     """
-    from .classgroup import class_group_formula  # deferred: classgroup imports us
-
     current = adjust(variety)[0]
     if not current._rationality.is_rational:
         raise NotRationalError("iteration needs a rational variety")

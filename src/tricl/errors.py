@@ -51,3 +51,7 @@ class OracleMismatchError(TriclError):
 
     This always indicates a bug in the library, never bad user input.
     """
+
+
+class ResourceLimitError(TriclError):
+    """The input is valid but exceeds the size the library handles."""

@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers.
 
 Everything in this module works with plain Python integers, so results stay
-exact.  Matrices are immutable value objects and every operation is a pure
-function, which makes the whole module safe to use from multiple threads.
+exact.  Matrices are immutable value objects stored as sparse rows, and
+every operation is a pure function, which makes the whole module safe to
+use from multiple threads.
 
 The heart of the module is `smith_invariants`, the rank and invariant
 factors of an integer matrix, together with the constructions built on top
@@ -18,9 +19,9 @@ the case-III grading matrices reached hundreds of thousands of bits
 * The matrix is split into its connected blocks (rows linked by shared
   columns); the invariants of a direct sum are those of its blocks.
 * Per block, pivots that need no remainder steps go first: a row whose own
-  columns have a gcd dividing the row splits off at no cost, and +-1
-  entries are eliminated by Gaussian steps.  The entries left are ratios
-  of minors, so they stay below the Hadamard bound.
+  columns have a gcd dividing the row splits off at no cost, and an entry
+  that divides its whole column clears it by an exact Gaussian step.  The
+  entries left are ratios of minors, so they stay below the Hadamard bound.
 * On the rest, fraction-free (Bareiss) elimination gives the rank r and a
   nonzero r x r minor D, and the rows are diagonalised over Z/DZ with every
   entry reduced mod D (Domich, Kannan and Trotter, Math. Oper. Res. 12,
@@ -28,39 +29,53 @@ the case-III grading matrices reached hundreds of thousands of bits
   Every invariant factor divides D, and the quotient by L + D Z^n is the
   torsion plus one Z/D for each free generator; those copies are dropped.
 * A direct sum of cyclic groups is turned into the invariant-factor chain
-  by gcd/lcm exchanges, which is all `canonical_group` does.
+  over a coprime base of its orders (Bernstein, J. Algorithms 54, 2005),
+  which is all `canonical_group` does.
 
-Pivots are picked by Markowitz (fill-in) cost, so the sparse grading and
-exponent matrices stay sparse.
+Pivots come from queues keyed by Markowitz (fill-in) cost and re-keyed only
+where a pivot changed something, and a column index finds the rows a pivot
+touches (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001), so the
+work follows the nonzeros of the sparse matrices, not their cells.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
-from itertools import compress
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense matrix of unbounded integers, stored row-major.
+# Sparse rows: {column: nonzero entry}.  Columns keep their index in the
+# input matrix, so a block's columns need not be contiguous.
+SparseRow = dict[int, int]
 
-    `entries` has exactly ``rows * cols`` elements; both dimensions may be
-    zero.  Instances are immutable; all arithmetic returns new matrices.
+
+@dataclass(frozen=True, init=False)
+class IntMatrix:
+    """Immutable matrix of unbounded integers, stored as sparse rows.
+
+    Built from ``rows * cols`` row-major `entries`, from dense rows with
+    `from_rows`, or from {column: nonzero entry} rows with `from_sparse`;
+    both dimensions may be zero.
     """
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    _sparse: tuple[SparseRow, ...] = field(hash=False)
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence[int]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        dense = (entries[i * cols : (i + 1) * cols] for i in range(rows))
+        self._adopt([{j: x for j, x in enumerate(row) if x} for row in dense], cols)
+
+    def _adopt(self, rows: Sequence[SparseRow], cols: int) -> None:
+        for name, value in (("rows", len(rows)), ("cols", cols), ("_sparse", tuple(rows))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -79,49 +94,35 @@ class IntMatrix:
             cols = width
         elif cols is None:
             raise ValueError("cols is required for a matrix without rows")
-        flat = tuple(x for row in data for x in row)
-        return cls(len(data), cols, flat)
+        return cls.from_sparse([{j: x for j, x in enumerate(row) if x} for row in data], cols)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+    def from_sparse(cls, rows: Sequence[SparseRow], cols: int) -> "IntMatrix":
+        """The matrix with the given {column: nonzero entry} rows, whose
+        columns lie in range(cols).  The dicts are kept, not copied, so the
+        caller must not change them afterwards."""
+        matrix = cls.__new__(cls)
+        matrix._adopt(rows, cols)
+        return matrix
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """All rows * cols entries, row-major."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self.entries[i * self.cols + j]
+        return self._sparse[i].get(j, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        """Mutable row-of-lists copy, for in-place elimination."""
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def with_row(self, row: Sequence[int]) -> "IntMatrix":
-        row = tuple(int(x) for x in row)
-        if len(row) != self.cols:
-            raise ValueError("row length does not match column count")
-        return IntMatrix(self.rows + 1, self.cols, self.entries + row)
+        return tuple(self._sparse[i].get(j, 0) for j in range(self.cols))
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
             return f"<empty {self.rows}x{self.cols} matrix>"
         return "\n".join("[" + " ".join(str(x) for x in self.row(i)) + "]" for i in range(self.rows))
-
-
-def block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    """Block-diagonal assembly of the given matrices."""
-    cols = sum(b.cols for b in blocks)
-    entries: list[int] = []
-    j0 = 0
-    for b in blocks:
-        left, right = (0,) * j0, (0,) * (cols - j0 - b.cols)
-        for i in range(b.rows):
-            entries += left + b.row(i) + right
-        j0 += b.cols
-    return IntMatrix(sum(b.rows for b in blocks), cols, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -198,96 +199,78 @@ class SmithData:
             raise ValueError("number of invariant factors must equal the rank")
 
 
-# Sparse rows: {column: nonzero entry}.  Columns keep their index in the
-# input matrix, so a block's columns need not be contiguous.
-SparseRow = dict[int, int]
+class _Rows:
+    """Sparse rows under elimination, with a column index: `where[j]` holds
+    the ids of the live rows with an entry in column j.  A removed row is
+    None, and its id is not reused."""
 
+    def __init__(self, rows: Iterable[SparseRow]) -> None:
+        self.rows: list[Optional[SparseRow]] = []
+        self.where: dict[int, set[int]] = {}
+        for row in rows:
+            self.append(row)
 
-def _connected_blocks(rows: list[SparseRow]) -> list[list[SparseRow]]:
-    """`rows` grouped into connected blocks.
-
-    Two rows are in one block when a chain of shared columns links them, so
-    after permuting rows and columns the matrix is the direct sum of its
-    blocks (and of zero columns, which carry no torsion).
-    """
-    parent: dict[int, int] = {}
-
-    def find(j: int) -> int:
-        root = parent.setdefault(j, j)
-        while root != parent[root]:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        return root
-
-    for row in rows:
-        columns = iter(row)
-        root = find(next(columns))
-        for j in columns:
-            other = find(j)
-            if other != root:
-                parent[other] = root
-    blocks: dict[int, list[SparseRow]] = {}
-    for row in rows:
-        blocks.setdefault(find(next(iter(row))), []).append(row)
-    return list(blocks.values())
-
-
-def _column_counts(rows: list[SparseRow]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for row in rows:
+    def append(self, row: SparseRow) -> None:
         for j in row:
-            counts[j] = counts.get(j, 0) + 1
-    return counts
+            self.where.setdefault(j, set()).add(len(self.rows))
+        self.rows.append(row)
+
+    def remove(self, i: int) -> SparseRow:
+        row, self.rows[i] = self.rows[i], None
+        for j in row:
+            self.where[j].discard(i)
+        return row
+
+    def subtract(self, t: int, q: int, pivot_row: SparseRow, modulus: int = 0) -> None:
+        """Row t -= q * pivot_row, modulo `modulus` unless it is 0."""
+        row, where = self.rows[t], self.where
+        for j, y in pivot_row.items():
+            value = row.get(j, 0) - q * y
+            if modulus:
+                value %= modulus
+            if value:
+                if j not in row:
+                    where.setdefault(j, set()).add(t)
+                row[j] = value
+            elif j in row:
+                del row[j]
+                where[j].discard(t)
+
+    def pivot_column(self, i: int, minus_one: int) -> int:
+        """The entry 1 or `minus_one` of row i (or any entry, if none is)
+        whose column has the fewest entries: low Markowitz fill-in."""
+        row = self.rows[i]
+        units = [j for j, x in row.items() if x == 1 or x == minus_one]
+        return min(units or row, key=lambda j: len(self.where[j]))
 
 
-def _pivot(rows: list[SparseRow], counts: dict[int, int], minus_one: int) -> tuple[int, int]:
-    """(row index, column) of the next pivot among `rows`.
+class _RowQueue:
+    """Live rows by pivot preference: a row holding 1 or `minus_one` first,
+    then the shortest, then the first.  Only the rows a pivot touched are
+    re-keyed (`update`); stale heap entries are skipped."""
 
-    The shortest row holding a 1 or `minus_one`, or else the shortest row;
-    in it, that entry (or any entry) whose column has the fewest entries.
-    This keeps the Markowitz fill-in cost low.
-    """
-    best, size = -1, 0
-    for i, row in enumerate(rows):
-        if best < 0 or len(row) < size:
-            values = row.values()
-            if 1 in values or minus_one in values:
-                best, size = i, len(row)
-                if size == 1:
-                    break
-    if best >= 0:
-        candidates = [j for j, x in rows[best].items() if x == 1 or x == minus_one]
-    else:
-        sizes = list(map(len, rows))
-        best = sizes.index(min(sizes))
-        candidates = list(rows[best])
-    return best, min(candidates, key=counts.__getitem__)
+    def __init__(self, rows: list[Optional[SparseRow]], minus_one: int) -> None:
+        self.rows, self.minus_one = rows, minus_one
+        self.keys: list[Optional[tuple[int, int]]] = [None] * len(rows)
+        self.heap: list[tuple[tuple[int, int], int]] = []
+        for i in range(len(rows)):
+            self.update(i)
 
+    def update(self, i: int) -> None:
+        row = self.rows[i]
+        key = row and (0 if 1 in row.values() or self.minus_one in row.values() else 1, len(row))
+        if key and key != self.keys[i]:
+            heapq.heappush(self.heap, (key, i))
+        self.keys[i] = key
 
-def _put(row: SparseRow, j: int, value: int, counts: dict[int, int]) -> None:
-    """Set row[j] = value, dropping zeros and keeping the column counts."""
-    if value:
-        if j not in row:
-            counts[j] = counts.get(j, 0) + 1
-        row[j] = value
-    elif j in row:
-        del row[j]
-        counts[j] -= 1
-
-
-def _subtract(row: SparseRow, q: int, pivot_row: SparseRow, counts: dict[int, int], modulus: int = 0) -> None:
-    """row -= q * pivot_row, modulo `modulus` unless it is 0; keeps the counts."""
-    for j, y in pivot_row.items():
-        value = row.get(j, 0) - q * y
-        if modulus:
-            value %= modulus
-        if value:
-            if j not in row:
-                counts[j] = counts.get(j, 0) + 1
-            row[j] = value
-        elif j in row:
-            del row[j]
-            counts[j] -= 1
+    def pop(self) -> int:
+        """Index of the preferred live row, taken off the queue; -1 if none."""
+        while self.heap:
+            key, i = heapq.heappop(self.heap)
+            if self.keys[i] == key:
+                self.keys[i] = None
+                return i
+        return -1
 
 
 def _eliminate_exact(rows: list[SparseRow]) -> tuple[list[int], list[SparseRow]]:
@@ -295,59 +278,71 @@ def _eliminate_exact(rows: list[SparseRow]) -> tuple[list[int], list[SparseRow]]
 
     A row whose own columns (those no other row uses) have entries with a
     gcd g dividing the whole row is g e_c after column operations that
-    touch no other row, so it splits off Z/g at no cost.  Between sweeps
-    for such rows, one entry +-1 is eliminated by a Gaussian step, the one
-    of least Markowitz cost (the fill-in it may cause).  Returns the
-    split-off orders and the rows left, a Schur complement whose entries
-    are ratios of minors of `rows`, so they stay below the Hadamard bound.
-    Consumes `rows`.
+    touch no other row, so it splits off Z/g at no cost.  Between splits,
+    an entry dividing its whole column is a pivot: its row clears the
+    column exactly, which becomes an own column of the row.  Pivots come
+    from a queue keyed by Markowitz cost (the fill-in they may cause), and
+    a pivot re-keys only the columns of its row; a row pivots once, so the
+    pivots end.  Returns the split-off orders and the rows left, whose
+    entries are ratios of minors of `rows` (times its pivot, in a pivot
+    row), so they stay small.  Consumes `rows`.
     """
-    work = rows
-    counts = _column_counts(work)
+    work = _Rows(rows)
+    rows, where = work.rows, work.where
+    used: set[int] = set()
+    queue: list[tuple[int, int, int]] = []  # (cost, column, pivot row)
+    queued: dict[int, tuple[int, int, int]] = {}  # the live entry of each column
+    # A pivot changes the count of a column only if its row holds it, so it
+    # changes the own columns of no other row.
+    own: list[set[int]] = [set() for _ in rows]
+    for j, holders in where.items():
+        if len(holders) == 1:
+            own[next(iter(holders))].add(j)
     orders = []
-    while work:
-        kept = []
-        for row in work:
-            if 1 in map(counts.__getitem__, row):
-                g = math.gcd(*(x for j, x in row.items() if counts[j] == 1))
-                if all(y % g == 0 for y in row.values()):
-                    orders.append(g)
-                    for j in row:
-                        counts[j] -= 1
-                    continue
-            kept.append(row)
-        work = kept
-        best = None
-        best_cost = 0
-        for i, row in enumerate(work):
-            values = row.values()
-            if 1 not in values and -1 not in values:
+    pending = list(range(len(rows)))  # rows that may split off
+    changed = set(where)  # columns whose queue entry is out of date
+    while True:
+        while pending:
+            i = pending.pop()
+            row = rows[i]
+            if row is None or not own[i]:
                 continue
-            extra = len(row) - 1
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    cost = extra * (counts[j] - 1)
-                    if best is None or cost < best_cost:
-                        best, best_cost = (i, j), cost
-                        if not cost:
-                            break
-            if best is not None and not best_cost:
-                break
-        if best is None:
+            g = math.gcd(*(row[j] for j in own[i]))
+            if any(y % g for y in row.values()):
+                continue
+            orders.append(g)
+            for j in work.remove(i):
+                if len(where[j]) == 1:
+                    (sole,) = where[j]
+                    own[sole].add(j)
+                    pending.append(sole)
+                changed.add(j)
+        for j in changed:
+            queued.pop(j, None)
+            holders = where[j]
+            if len(holders) > 1:
+                g = math.gcd(*(rows[t][j] for t in holders))
+                fits = [t for t in holders if t not in used and abs(rows[t][j]) == g]
+                if fits:
+                    i = min(fits, key=lambda t: (len(rows[t]), t))
+                    queued[j] = ((len(holders) - 1) * (len(rows[i]) - 1), j, i)
+                    heapq.heappush(queue, queued[j])
+        changed.clear()
+        while queue and queued.get(queue[0][1]) != queue[0]:
+            heapq.heappop(queue)
+        if not queue:
             break
-        i, c = best
-        pivot_row = work.pop(i)
-        for j in pivot_row:
-            counts[j] -= 1
-        sign = pivot_row[c]
-        for row in work:
-            a = row.get(c)
-            if a is not None:
-                _subtract(row, a * sign, pivot_row, counts)
-        orders.append(1)
-        if not all(work):
-            work = [row for row in work if row]
-    return orders, work
+        _, j, i = heapq.heappop(queue)
+        used.add(i)
+        pivot_row = rows[i]
+        for t in list(where[j]):
+            if t != i:
+                work.subtract(t, rows[t][j] // pivot_row[j], pivot_row)
+                pending.append(t)
+        pending.append(i)
+        own[i] = {k for k in pivot_row if len(where[k]) == 1}
+        changed.update(pivot_row)
+    return orders, [row for row in rows if row]
 
 
 def _rank_and_minor(rows: list[SparseRow]) -> tuple[int, int]:
@@ -356,41 +351,37 @@ def _rank_and_minor(rows: list[SparseRow]) -> tuple[int, int]:
     Fraction-free (Bareiss) elimination: after k pivots every entry is a
     (k+1)-minor, so the last pivot is a rank x rank minor.  Rows the pivot
     column misses are scaled lazily: a row stored at step g holds its
-    step-k value times pivots[g] / pivots[k].  `rows` is left as it was.
+    step-k value times pivots[g] / pivots[k].  Only the rows in the pivot
+    column are touched, in place.  `rows` is left as it was.
     """
-    work = list(rows)
-    tags = [0] * len(work)
-    counts = _column_counts(work)
+    work = _Rows(dict(row) for row in rows)
+    queue = _RowQueue(work.rows, -1)
+    tags = [0] * len(work.rows)
     pivots = [1]
-    while work:
+    while (i := queue.pop()) >= 0:
         k = len(pivots) - 1
-        i, c = _pivot(work, counts, -1)
         prev = pivots[k]
-        pivot_row = work.pop(i)
-        stored = pivots[tags.pop(i)]
+        c = work.pivot_column(i, -1)
+        pivot_row = work.remove(i)
+        stored = pivots[tags[i]]
         if stored != prev:
             pivot_row = {j: x * prev // stored for j, x in pivot_row.items()}
         p = pivot_row[c]
         if p < 0:  # negating a row changes neither the lattice nor |minor|
             p = -p
             pivot_row = {j: -x for j, x in pivot_row.items()}
-        for j in pivot_row:
-            counts[j] -= 1
-        for t, row in enumerate(work):
-            if c not in row:
-                continue
+        for t in list(work.where[c]):
+            row = work.rows[t]
             stored = pivots[tags[t]]
-            if stored != prev:
-                row = {j: x * prev // stored for j, x in row.items()}
-            new = {j: x * p for j, x in row.items()}
-            _subtract(new, row[c], pivot_row, counts)
-            work[t] = {j: x // prev for j, x in new.items()}
+            for j, x in row.items():
+                row[j] = x * prev // stored * p if stored != prev else x * p
+            work.subtract(t, row[c] // p, pivot_row)
+            if prev != 1:
+                for j, x in row.items():
+                    row[j] = x // prev
             tags[t] = k + 1
+            queue.update(t)
         pivots.append(p)
-        if not all(work):
-            kept = [t for t, row in enumerate(work) if row]
-            work = [work[t] for t in kept]
-            tags = [tags[t] for t in kept]
     return len(pivots) - 1, pivots[-1]
 
 
@@ -415,36 +406,34 @@ def _diagonal_mod(rows: list[SparseRow], modulus: int) -> list[int]:
     column is clear, clearing a pivot-row entry the pivot divides only
     touches the pivot row, so a unit pivot costs one column sweep.
     """
-    work = [{j: r for j, x in row.items() if (r := x % modulus)} for row in rows]
-    work = [row for row in work if row]
-    counts = _column_counts(work)
+    work = _Rows({j: r for j, x in row.items() if (r := x % modulus)} for row in rows)
     minus_one = modulus - 1
+    queue = _RowQueue(work.rows, minus_one)
     diagonal = []
-    while work:
-        i, c = _pivot(work, counts, minus_one)
-        pivot_row = work.pop(i)
-        for j in pivot_row:
-            counts[j] -= 1
+    while (i := queue.pop()) >= 0:
+        c = work.pivot_column(i, minus_one)
+        pivot_row = work.remove(i)
+        touched = set()
         while True:
             p = pivot_row[c]
             g = math.gcd(p, modulus)
             inverse = pow(p // g, -1, modulus // g)
-            for row in work:
-                x = row.get(c)
-                if x is None:
-                    continue
+            for t in list(work.where[c]):
+                touched.add(t)
+                row = work.rows[t]
+                x = row[c]
                 if x % g == 0:
-                    _subtract(row, x // g * inverse % modulus, pivot_row, counts, modulus)
+                    work.subtract(t, x // g * inverse % modulus, pivot_row, modulus)
                     continue
-                h, s, t = _xgcd(p, x)
+                h, s, r = _xgcd(p, x)
                 u, v = x // h, p // h
-                merged = {}
+                merged, change = {}, {}
                 for j in pivot_row.keys() | row.keys():
                     a, b = pivot_row.get(j, 0), row.get(j, 0)
-                    value = (s * a + t * b) % modulus
-                    if value:
+                    if value := (s * a + r * b) % modulus:
                         merged[j] = value
-                    _put(row, j, (v * b - u * a) % modulus, counts)
+                    change[j] = (v * b - u * a) % modulus - b
+                work.subtract(t, -1, change)
                 pivot_row = merged
                 p = h
                 g = math.gcd(p, modulus)
@@ -458,87 +447,91 @@ def _diagonal_mod(rows: list[SparseRow], modulus: int) -> list[int]:
             if offender is None:
                 break
             y = pivot_row.pop(offender)
-            h, s, t = _xgcd(p, y)
-            u, v = y // h, p // h
+            h, s, r = _xgcd(p, y)
             pivot_row[c] = h
-            for row in work:
-                a, b = row.get(c, 0), row.get(offender, 0)
-                if a or b:
-                    _put(row, c, (s * a + t * b) % modulus, counts)
-                    _put(row, offender, (v * b - u * a) % modulus, counts)
+            for t in list(work.where[offender]):  # column c is clear
+                touched.add(t)
+                b = work.rows[t][offender]
+                work.subtract(t, -1, {c: r * b % modulus, offender: p // h * b % modulus - b})
         diagonal.append(g)
-        if not all(work):
-            work = [row for row in work if row]
+        for t in touched:
+            queue.update(t)
     return diagonal
+
+
+def _coprime_base(numbers: Iterable[int]) -> list[int]:
+    """Pairwise coprime numbers > 1 over which each of `numbers` factors.
+
+    A number x sharing g > 1 with a base element b replaces b by b/g, g and
+    x/g; each step divides the product of the numbers in play by g, so it
+    ends.  (Bernstein, J. Algorithms 54, 2005, does this in essentially
+    linear time; the lists here are short.)
+    """
+    base: list[int] = []
+    pending = [x for x in numbers if x > 1]
+    while pending:
+        x = pending.pop()
+        for k, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[k]
+                pending += [y for y in (b // g, g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return base
 
 
 def _chain(factors: Iterable[int]) -> tuple[int, ...]:
     """Invariant-factor chain of the direct sum of Z/f over `factors`.
 
-    Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b); applying this to every pair
-    (i, j), i < j, leaves each factor dividing all later ones.  Factors
-    equal to 1 are dropped.
+    Factors equal to 1 are dropped.  Sorted factors that divide each other
+    are the chain.  Otherwise each factor is a product of powers b^e of a
+    coprime base of the distinct factors, and the k-th largest invariant
+    factor is the product over b of b to its k-th largest exponent.
     """
     fs = sorted(f for f in factors if f > 1)
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            a, b = fs[i], fs[j]
-            g = math.gcd(a, b)
-            if g != a:
-                fs[i], fs[j] = g, a // g * b
-    return tuple(f for f in fs if f > 1)
-
-
-def _torsion(rows: list[SparseRow]) -> tuple[int, list[int]]:
-    """Rank of the lattice spanned by `rows`, and cyclic orders whose sum
-    is its torsion.
-
-    Per connected block: a single row or column spans g Z for the gcd g of
-    its entries.  Otherwise `_eliminate_exact` splits off what it can, and
-    the rest, of width n, is reduced modulo a nonzero rank x rank minor D.
-    Every invariant factor d_i divides D, and Z^n / (L + D Z^n) = Z/d_1 x
-    ... x Z/d_rank x (Z/D)^(n - rank) for its row lattice L.  The diagonal
-    modulo D presents that group as a sum of Z/gcd(pivot, D) and one Z/D
-    per missing pivot; its chain ends in the n - rank copies of Z/D that
-    stand for the free part.  (The pivots alone need not be the d_i: Z/2 x
-    Z/3 may stand for Z/6.)  Consumes `rows`.
-    """
-    rank = 0
-    torsion: list[int] = []
-    for block in _connected_blocks(rows):
-        width = len(set().union(*block))
-        if len(block) > 1 and width > 1:
-            orders, block = _eliminate_exact(block)
-            rank += len(orders)
-            torsion += orders
-            width = len(set().union(*block))
-        if len(block) > 1 and width > 1:
-            block_rank, minor = _rank_and_minor(block)
-            rank += block_rank
-            if minor > 1:
-                # Each gcd(pivot, D) divides D, so the copies of Z/D end the
-                # chain.
-                diagonal = _diagonal_mod(block, minor)
-                chain = _chain(diagonal) + (minor,) * (width - len(diagonal))
-                torsion += chain[: len(chain) - (width - block_rank)]
-        elif block:
-            rank += 1
-            torsion.append(math.gcd(*(x for row in block for x in row.values())))
-    return rank, torsion
+    if not any(map(operator.mod, fs[1:], fs)):
+        return tuple(fs)
+    counts: dict[int, int] = {}
+    for f in fs:
+        counts[f] = counts.get(f, 0) + 1
+    largest = [1] * len(fs)  # largest[k]: the k-th largest invariant factor
+    for b in _coprime_base(counts):
+        exponents = []
+        for f, m in counts.items():
+            e = 0
+            while f % b == 0:
+                f, e = f // b, e + 1
+            if e:
+                exponents += [e] * m
+        for k, e in enumerate(sorted(exponents, reverse=True)):
+            largest[k] *= b**e
+    return tuple(f for f in reversed(largest) if f > 1)
 
 
 def smith_invariants(matrix: IntMatrix) -> SmithData:
     """Rank and invariant-factor chain of an integer matrix.
 
     Deterministic and exact; empty matrices are allowed and have rank 0.
+    What `_eliminate_exact` leaves, of width n and row lattice L, is reduced
+    modulo a nonzero rank x rank minor D.  Every invariant factor d_i
+    divides D, and Z^n / (L + D Z^n) = Z/d_1 x ... x Z/d_rank x
+    (Z/D)^(n - rank): the diagonal mod D gives Z/gcd(pivot, D) per pivot
+    and Z/D per missing one, whose chain ends in the n - rank copies of Z/D
+    that stand for the free part.  (Z/2 x Z/3 may stand for Z/6.)
     """
-    columns = range(matrix.cols)
-    rows = []
-    for i in range(matrix.rows):
-        row = matrix.row(i)
-        if any(row):
-            rows.append(dict(zip(compress(columns, row), compress(row, row))))
-    rank, torsion = _torsion(rows)
+    torsion, rest = _eliminate_exact([dict(row) for row in matrix._sparse if row])
+    rank = len(torsion)
+    if rest:
+        width = len(set().union(*rest))
+        rest_rank, minor = _rank_and_minor(rest)
+        rank += rest_rank
+        if minor > 1:
+            # Each gcd(pivot, D) divides D, so the copies of Z/D end the chain.
+            diagonal = _diagonal_mod(rest, minor)
+            chain = _chain(diagonal) + (minor,) * (width - len(diagonal))
+            torsion += chain[: len(chain) - (width - rest_rank)]
     chain = _chain(torsion)
     return SmithData(rank, (1,) * (rank - len(chain)) + chain)
 
@@ -567,13 +560,15 @@ def matrix_A(k: int, exponents: Sequence[int]) -> IntMatrix:
     l = tuple(int(x) for x in exponents)
     if not l or any(x < 1 for x in l):
         raise ValueError("exponent vector must be nonempty with positive entries")
-    n = len(l)
-    entries: list[int] = []
-    for t in range(k):
-        entries += (0,) * (t * n) + l + (0,) * ((k - 1 - t) * n)
-    for j in range(n):
-        entries += ((0,) * j + (1,) + (0,) * (n - 1 - j)) * k
-    return IntMatrix(k + n, k * n, tuple(entries))
+    return IntMatrix.from_sparse(_relation_rows(k, l), k * len(l))
+
+
+def _relation_rows(k: int, exponents: Sequence[int], offset: int = 0) -> list[SparseRow]:
+    """The rows of `matrix_A`, with every column shifted by `offset`."""
+    n = len(exponents)
+    rows = [{offset + t * n + j: x for j, x in enumerate(exponents)} for t in range(k)]
+    rows += [{offset + t * n + j: 1 for t in range(k)} for j in range(n)]
+    return rows
 
 
 def matrix_B(k: int, exponents: Sequence[int], frak_l: int) -> IntMatrix:
@@ -584,11 +579,12 @@ def matrix_B(k: int, exponents: Sequence[int], frak_l: int) -> IntMatrix:
     `frak_l` must divide every exponent.
     """
     a = matrix_A(k, exponents)
-    l = a.entries[: a.rows - k]  # row 0 starts with the exponent vector
+    l = a.row(0)[: a.rows - k]  # row 0 starts with the exponent vector
     if frak_l < 1 or any(x % frak_l for x in l):
         raise ValueError(f"{frak_l} does not divide all of {l}")
-    top = IntMatrix(k, a.cols, a.entries[: k * a.cols])
-    return top.with_row([x // frak_l for x in l] * k)
+    n = len(l)
+    last = {t * n + j: x // frak_l for t in range(k) for j, x in enumerate(l)}
+    return IntMatrix.from_sparse(a._sparse[:k] + (last,), a.cols)
 
 
 def hermite_basis(matrix: IntMatrix) -> IntMatrix:
@@ -596,62 +592,49 @@ def hermite_basis(matrix: IntMatrix) -> IntMatrix:
 
     The returned rows are in echelon form with positive pivots and entries
     above each pivot reduced into [0, pivot); zero rows are dropped, so equal
-    lattices yield equal bases.
+    lattices yield equal bases.  Column indexes find the rows each
+    remainder step touches.
     """
-    work = matrix.to_rows()
-    rows, cols = matrix.rows, matrix.cols
-    r = 0
-    for j in range(cols):
-        if r == rows:
-            break
-        # Combine rows r.. until column j holds at most one nonzero entry.
-        while True:
-            nonzero = [i for i in range(r, rows) if work[i][j]]
-            if len(nonzero) <= 1:
-                break
-            nonzero.sort(key=lambda i: abs(work[i][j]))
-            p = nonzero[0]
-            for i in nonzero[1:]:
-                q = work[i][j] // work[p][j]
-                if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[p])]
-        pivots = [i for i in range(r, rows) if work[i][j]]
-        if not pivots:
+    work = _Rows(dict(row) for row in matrix._sparse)
+    basis = _Rows([])
+    for j in sorted(work.where):
+        holders = work.where[j]
+        while len(holders) > 1:
+            p = min(holders, key=lambda t: (abs(work.rows[t][j]), len(work.rows[t]), t))
+            for t in list(holders):
+                if t != p and (q := work.rows[t][j] // work.rows[p][j]):
+                    work.subtract(t, q, work.rows[p])
+        if holders:
+            row = work.remove(next(iter(holders)))
+            if row[j] < 0:
+                row = {k: -x for k, x in row.items()}
+            for i in list(basis.where.get(j, ())):
+                if q := basis.rows[i][j] // row[j]:
+                    basis.subtract(i, q, row)
+            basis.append(row)
+    return IntMatrix.from_sparse(basis.rows, matrix.cols)
+
+
+def _coordinates(basis: Sequence[SparseRow], leads: dict, vector: SparseRow) -> Optional[dict]:
+    """{row: coordinate} of `vector` over Hermite `basis` rows, whose
+    leading columns `leads` maps to their index; None outside the lattice."""
+    residual = dict(vector)
+    columns = sorted(residual)
+    coords = {}
+    while columns:
+        j = heapq.heappop(columns)
+        if not (x := residual.pop(j, 0)):
             continue
-        work[r], work[pivots[0]] = work[pivots[0]], work[r]
-        if work[r][j] < 0:
-            work[r] = [-x for x in work[r]]
-        for i in range(r):
-            q = work[i][j] // work[r][j]
-            if q:
-                work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-        r += 1
-    return IntMatrix.from_rows(work[:r], cols)
-
-
-def coordinates_in_lattice(basis: IntMatrix, vector: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Integer coordinates of `vector` in a Hermite `basis`, or None.
-
-    `basis` must come from `hermite_basis` (echelon rows).  Returns x with
-    x @ basis == vector when the vector lies in the lattice.
-    """
-    residual = [int(x) for x in vector]
-    if len(residual) != basis.cols:
-        raise ValueError("vector length does not match the lattice dimension")
-    coords = [0] * basis.rows
-    for i in range(basis.rows):
-        row = basis.row(i)
-        j = next(idx for idx, x in enumerate(row) if x)
-        if residual[j]:
-            if residual[j] % row[j]:
-                return None
-            q = residual[j] // row[j]
-            coords[i] = q
-            for idx in range(basis.cols):
-                residual[idx] -= q * row[idx]
-    if any(residual):
-        return None
-    return tuple(coords)
+        i = leads.get(j)
+        if i is None or x % basis[i][j]:
+            return None
+        q = coords[i] = x // basis[i][j]
+        for k, y in basis[i].items():
+            if k != j:
+                if k not in residual:
+                    heapq.heappush(columns, k)
+                residual[k] = residual.get(k, 0) - q * y
+    return coords
 
 
 def is_saturated_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:
@@ -664,17 +647,12 @@ def is_saturated_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:
     """
     if sub.cols != sup.cols:
         raise ValueError("lattices live in different ambient spaces")
-    sup_basis = hermite_basis(sup)
-    sub_basis = hermite_basis(sub)
-    expression = []
-    for i in range(sub_basis.rows):
-        coords = coordinates_in_lattice(sup_basis, sub_basis.row(i))
-        if coords is None:
-            return False
-        expression.append(coords)
-    if not expression:
-        return True
-    data = smith_invariants(IntMatrix.from_rows(expression, sup_basis.rows))
+    sup_basis = hermite_basis(sup)._sparse
+    leads = {min(row): i for i, row in enumerate(sup_basis)}
+    expression = [_coordinates(sup_basis, leads, row) for row in hermite_basis(sub)._sparse]
+    if None in expression:
+        return False
+    data = smith_invariants(IntMatrix.from_sparse(expression, len(sup_basis)))
     return all(f == 1 for f in data.invariant_factors)
 
 
@@ -682,7 +660,7 @@ def canonical_group(factors: Sequence[int], rank: int = 0) -> FgAbelianGroup:
     """Canonical form of the direct sum of Z/f_i (f_i >= 1) and Z^rank.
 
     Factors equal to 1 are dropped; the rest are rewritten into an
-    invariant-factor chain by gcd/lcm exchanges.
+    invariant-factor chain over their coprime base.
     """
     if rank < 0:
         raise ValueError("rank must be nonnegative")
@@ -701,7 +679,8 @@ def element_order_in_cokernel(matrix: IntMatrix, vector: Sequence[int]) -> Optio
     order by exactly q.
     """
     base = smith_invariants(matrix)
-    extended = smith_invariants(matrix.with_row(vector))
+    row = IntMatrix.from_rows([vector], matrix.cols)._sparse  # checks the length
+    extended = smith_invariants(IntMatrix.from_sparse(matrix._sparse + row, matrix.cols))
     if extended.rank > base.rank:
         return None
     torsion_before = math.prod(base.invariant_factors)

@@ -38,8 +38,9 @@ from .errors import (
     InvalidVarietyError,
     NonPositiveExponentError,
     NotAdjustedError,
+    ResourceLimitError,
 )
-from .exactlinalg import IntMatrix
+from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup, IntMatrix, SparseRow, canonical_group
 
 Theta = Union[Fraction, str]
 
@@ -387,6 +388,73 @@ def dimension(variety: TrinomialVariety) -> int:
     return variety.n + variety.m - variety.relation_count
 
 
+# The most generators n' = sum c(i) n_i of a total coordinate space that is
+# handled.  The class group has up to n' factors and its presentations n'
+# columns, so this bounds time and memory.
+MAX_N_PRIME = 1 << 15
+
+
+def _checked_n_prime(variety: TrinomialVariety) -> None:
+    """Raise ResourceLimitError if n' of an adjusted rational variety exceeds MAX_N_PRIME."""
+    n_prime = sum(map(operator.mul, variety._counts, map(len, variety.blocks)))
+    if n_prime > MAX_N_PRIME:
+        raise ResourceLimitError(f"n' = {n_prime} TCS generators, over the {MAX_N_PRIME} handled")
+
+
+class NotFinitelyGenerated:
+    """Singleton marker value: the class group is not finitely generated.
+
+    Returned (never raised) by the formula route; operations that need an
+    actual group treat it as a precondition failure.
+    """
+
+    _instance: Optional["NotFinitelyGenerated"] = None
+
+    def __new__(cls) -> "NotFinitelyGenerated":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "NotFinitelyGenerated"
+
+    def __str__(self) -> str:
+        return "not finitely generated"
+
+
+NOT_FINITELY_GENERATED = NotFinitelyGenerated()
+
+ClassGroup = Union[FgAbelianGroup, NotFinitelyGenerated]
+
+
+def _free_rank(counts: Sequence[int], blocks: Sequence[Sequence[int]]) -> int:
+    """sum((c(i) - 1) n_i - c(i) + 1) over the blocks, for any variety family."""
+    return sum((c - 1) * len(block) - c + 1 for c, block in zip(counts, blocks))
+
+
+def class_group_formula(variety: TrinomialVariety) -> ClassGroup:
+    """Divisor class group by the closed formulas, in canonical form.
+
+    Degenerate data is an affine space with trivial group.  Non-rational
+    input returns the NOT_FINITELY_GENERATED marker.  It reads only the
+    value's cached analysis.  The group can have nearly n' factors, so it
+    too raises ResourceLimitError beyond MAX_N_PRIME.
+    """
+    kind = rationality_class(variety)
+    if kind.is_factorial:
+        return TRIVIAL_GROUP
+    if not kind.is_rational:
+        return NOT_FINITELY_GENERATED
+    _checked_n_prime(variety)
+    gcds = variety._gcds
+    if kind.kind is RationalityKind.CASE_II:
+        factors = [g for g in gcds[2:] for _ in range(kind.c - 1)]
+    else:
+        factors = [gcds[0] * gcds[1] * gcds[2] // 4]
+        factors += [g for g in gcds[3:] for _ in range(3)]
+    return canonical_group(factors, _free_rank(variety._counts, variety.blocks))
+
+
 def _block_offsets(blocks: Sequence[Sequence[int]]) -> list[int]:
     """Start column of each block when the blocks are laid out side by side."""
     offsets = []
@@ -397,6 +465,14 @@ def _block_offsets(blocks: Sequence[Sequence[int]]) -> list[int]:
     return offsets
 
 
+def _exponent_rows(blocks: Sequence[Sequence[int]]) -> list[SparseRow]:
+    """Sparse rows (-l_0, 0.., l_i, ..0) for i >= 1, blocks side by side."""
+    return [
+        {**{j: -e for j, e in enumerate(blocks[0])}, **{offset + j: e for j, e in enumerate(block)}}
+        for offset, block in zip(_block_offsets(blocks)[1:], blocks[1:])
+    ]
+
+
 def exponent_matrix(variety: TrinomialVariety) -> IntMatrix:
     """The r x (n + m) exponent matrix with rows (-l_0, 0.., l_i, ..0).
 
@@ -405,17 +481,7 @@ def exponent_matrix(variety: TrinomialVariety) -> IntMatrix:
     """
     if len(variety.blocks) < 2:
         raise InvalidVarietyError("exponent matrix needs at least two blocks")
-    offsets = _block_offsets(variety.blocks)
-    width = variety.n + variety.m
-    rows = []
-    l0 = variety.blocks[0]
-    for i in range(1, len(variety.blocks)):
-        row = [0] * width
-        row[: len(l0)] = [-e for e in l0]
-        li = variety.blocks[i]
-        row[offsets[i] : offsets[i] + len(li)] = list(li)
-        rows.append(row)
-    return IntMatrix.from_rows(rows, width)
+    return IntMatrix.from_sparse(_exponent_rows(variety.blocks), variety.n + variety.m)
 
 
 def _monomial(block_index: int, block: Sequence[int]) -> str:

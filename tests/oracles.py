@@ -7,13 +7,7 @@ import itertools
 import math
 from typing import Optional
 
-from tricl.exactlinalg import (
-    IntMatrix,
-    block_diagonal,
-    coordinates_in_lattice,
-    hermite_basis,
-    matrix_A,
-)
+from tricl.exactlinalg import IntMatrix, hermite_basis, matrix_A
 from tricl.variety import RationalityClass, RationalityKind
 
 
@@ -257,7 +251,7 @@ def smith_eliminate(work: list[list[int]], rows: int, cols: int,
 
 def smith_oracle(matrix):
     """(rank, invariant factors) by the integer min-pivot elimination."""
-    diag = smith_eliminate(matrix.to_rows(), matrix.rows, matrix.cols)
+    diag = smith_eliminate(_to_rows(matrix), matrix.rows, matrix.cols)
     return len(diag), tuple(diag)
 
 
@@ -267,7 +261,7 @@ def smith_with_transforms(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntM
     U and V are unimodular; D is diagonal with the invariant factors on the
     diagonal (padded by zeros up to the shape of M).
     """
-    work = matrix.to_rows()
+    work = _to_rows(matrix)
     u = [[1 if i == j else 0 for j in range(matrix.rows)] for i in range(matrix.rows)]
     v = [[1 if i == j else 0 for j in range(matrix.cols)] for i in range(matrix.cols)]
     smith_eliminate(work, matrix.rows, matrix.cols, u, v)
@@ -313,7 +307,7 @@ def determinantal_divisor(matrix: IntMatrix, k: int) -> int:
     if not (1 <= k <= min(matrix.rows, matrix.cols)):
         raise ValueError(f"k={k} out of range for a {matrix.rows}x{matrix.cols} matrix")
     g = 0
-    grid = matrix.to_rows()
+    grid = _to_rows(matrix)
     for rsel in itertools.combinations(range(matrix.rows), k):
         for csel in itertools.combinations(range(matrix.cols), k):
             minor = [[grid[i][j] for j in csel] for i in rsel]
@@ -321,6 +315,74 @@ def determinantal_divisor(matrix: IntMatrix, k: int) -> int:
             if g == 1:
                 return 1
     return g
+
+
+def _to_rows(matrix: IntMatrix) -> list[list[int]]:
+    """Mutable row-of-lists copy, for in-place elimination."""
+    return [list(matrix.row(i)) for i in range(matrix.rows)]
+
+
+def block_diagonal(blocks) -> IntMatrix:
+    """Block-diagonal assembly of the given matrices."""
+    cols = sum(b.cols for b in blocks)
+    entries: list[int] = []
+    j0 = 0
+    for b in blocks:
+        left, right = (0,) * j0, (0,) * (cols - j0 - b.cols)
+        for i in range(b.rows):
+            entries += left + b.row(i) + right
+        j0 += b.cols
+    return IntMatrix(sum(b.rows for b in blocks), cols, tuple(entries))
+
+
+def chain_pairwise(factors) -> tuple[int, ...]:
+    """Invariant-factor chain of the direct sum of Z/f over `factors`.
+
+    Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b); applying this to every pair
+    (i, j), i < j, leaves each factor dividing all later ones.  Factors
+    equal to 1 are dropped.
+    """
+    fs = sorted(f for f in factors if f > 1)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            a, b = fs[i], fs[j]
+            g = math.gcd(a, b)
+            if g != a:
+                fs[i], fs[j] = g, a // g * b
+    return tuple(f for f in fs if f > 1)
+
+
+def hermite_reference(matrix: IntMatrix) -> IntMatrix:
+    """Row-style Hermite basis by dense column-by-column remainder steps."""
+    work = _to_rows(matrix)
+    rows, cols = matrix.rows, matrix.cols
+    r = 0
+    for j in range(cols):
+        if r == rows:
+            break
+        # Combine rows r.. until column j holds at most one nonzero entry.
+        while True:
+            nonzero = [i for i in range(r, rows) if work[i][j]]
+            if len(nonzero) <= 1:
+                break
+            nonzero.sort(key=lambda i: abs(work[i][j]))
+            p = nonzero[0]
+            for i in nonzero[1:]:
+                q = work[i][j] // work[p][j]
+                if q:
+                    work[i] = [a - q * b for a, b in zip(work[i], work[p])]
+        pivots = [i for i in range(r, rows) if work[i][j]]
+        if not pivots:
+            continue
+        work[r], work[pivots[0]] = work[pivots[0]], work[r]
+        if work[r][j] < 0:
+            work[r] = [-x for x in work[r]]
+        for i in range(r):
+            q = work[i][j] // work[r][j]
+            if q:
+                work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+        r += 1
+    return IntMatrix.from_rows(work[:r], cols)
 
 
 def identity(n: int) -> IntMatrix:
@@ -353,6 +415,31 @@ def matmul(left: IntMatrix, right: IntMatrix) -> IntMatrix:
         for j in range(right.cols):
             out.append(sum(ri[k] * right[k, j] for k in range(left.cols)))
     return IntMatrix(left.rows, right.cols, tuple(out))
+
+
+def coordinates_in_lattice(basis: IntMatrix, vector) -> Optional[tuple[int, ...]]:
+    """Integer coordinates of `vector` in a Hermite `basis`, or None.
+
+    `basis` must come from `hermite_basis` (echelon rows).  Returns x with
+    x @ basis == vector when the vector lies in the lattice.
+    """
+    residual = [int(x) for x in vector]
+    if len(residual) != basis.cols:
+        raise ValueError("vector length does not match the lattice dimension")
+    coords = [0] * basis.rows
+    for i in range(basis.rows):
+        row = basis.row(i)
+        j = next(idx for idx, x in enumerate(row) if x)
+        if residual[j]:
+            if residual[j] % row[j]:
+                return None
+            q = residual[j] // row[j]
+            coords[i] = q
+            for idx in range(basis.cols):
+                residual[idx] -= q * row[idx]
+    if any(residual):
+        return None
+    return tuple(coords)
 
 
 def is_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from oracles import block_diagonal
 from tricl import coxring
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
@@ -27,9 +28,10 @@ from tricl.errors import (
     FreeVariablesPresentError,
     NotAdjustedError,
     NotRationalError,
+    ResourceLimitError,
 )
-from tricl.exactlinalg import FgAbelianGroup, IntMatrix, block_diagonal, cokernel, matrix_A
-from tricl.variety import TrinomialVariety
+from tricl.exactlinalg import FgAbelianGroup, IntMatrix, cokernel, matrix_A
+from tricl.variety import MAX_N_PRIME, TrinomialVariety
 
 V = TrinomialVariety
 G = FgAbelianGroup
@@ -312,3 +314,32 @@ class TestTotalCoordinateSpaceBuiltOnce:
             assert alive() is None
         finally:
             gc.enable()
+
+
+class TestResourceLimit:
+    """Beyond MAX_N_PRIME TCS generators every route refuses up front."""
+
+    def test_refused_before_any_matrix_is_built(self, monkeypatch):
+        monkeypatch.setattr(coxring, "_p1_rows", lambda v: pytest.fail("built P1"))
+        c = MAX_N_PRIME  # n' = c + 2
+        routes = (
+            class_group_formula,
+            coxring.total_coordinate_space,
+            grading_matrix,
+            compulsory_torsion,
+            predicates,
+            lambda v: class_group_report(v, GroupMethod.SNF),
+        )
+        for route in routes:
+            with pytest.raises(ResourceLimitError, match=f"n' = {c + 2} "):
+                route(V([[c], [c], [3]]))
+        hyperplatonic = V([[c // 2], [c // 2], [1, 1]])  # n' = c + 2 again
+        for route in (coxring.iterate_cox_rings, coxring.duval_diagram):
+            with pytest.raises(ResourceLimitError):
+                route(hyperplatonic)
+
+    def test_the_bound_itself_is_handled(self):
+        c = MAX_N_PRIME - 2
+        variety = V([[c], [c], [5]])
+        assert coxring.total_coordinate_space(variety).n_prime == MAX_N_PRIME
+        assert class_group_formula(variety) == G(0, (5,) * (c - 1))

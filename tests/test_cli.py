@@ -5,16 +5,19 @@ import time
 
 import pytest
 
+from tricl import exactlinalg
 from tricl.cli import (
     DEFAULT_MAX_BLOCK,
     EXIT_INVALID_INPUT,
     EXIT_NOT_ADMITTED,
     EXIT_NOT_FINITELY_GENERATED,
     EXIT_OK,
+    EXIT_RESOURCE_LIMIT,
     SpecError,
     main,
     parse_spec,
 )
+from tricl.variety import MAX_N_PRIME
 
 
 def write_spec(tmp_path, name, payload):
@@ -182,6 +185,17 @@ class TestSubcommands:
         assert cox["tcs_blocks"] == [[2], [1], [3, 3], [3, 3]]
         assert cox["p1"] == [[-2, 1, 0, 0], [-4, 0, 3, 3]]
 
+    def test_memory_error_exits_6(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(rows):
+            raise MemoryError()
+
+        monkeypatch.setattr(exactlinalg, "_eliminate_exact", out_of_memory)
+        path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": [[4], [2], [3, 3]]})
+        code, _, err = run_cli(capsys, "--format", "json", "classgroup", path)
+        assert code == EXIT_RESOURCE_LIMIT == 6
+        failure = json.loads(err.splitlines()[0])
+        assert failure["error_type"] == "MemoryError" and failure["exit_code"] == 6
+
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == EXIT_OK
@@ -289,6 +303,19 @@ CAP_LADDER = [
 # bound catches its return with room to spare on a slow host.
 CAP_LADDER_BOUND_S = 2.0
 
+# Case II with c = 2^8 ... 2^16 in two shapes, [[c], [c], [3]] and
+# [[c], [c], [3], [5, 7]]: their TCS has n' = 2 + c (n_2 + ...) generators.
+# A point within MAX_N_PRIME takes under 1 s on a 2-vCPU host; building the
+# matrices densely took 3 s at c = 1024 and over 60 s at c = 4096.  A point
+# beyond it is refused before any matrix is built.
+C_LADDER = [
+    blocks
+    for c in (1 << e for e in range(8, 17))
+    for blocks in ([[c], [c], [3]], [[c], [c], [3], [5, 7]])
+]
+C_LADDER_BOUND_S = 8.0
+REFUSAL_BOUND_S = 0.5
+
 
 class TestCapLadder:
     @pytest.mark.parametrize("blocks", CAP_LADDER, ids=lambda b: f"{len(b)}-blocks-{b[0][0]}")
@@ -302,3 +329,23 @@ class TestCapLadder:
         assert record["agree"] is True
         assert record["snf"] == record["formula"] == record["group"]
         assert elapsed < CAP_LADDER_BOUND_S
+
+    @pytest.mark.parametrize("blocks", C_LADDER, ids=lambda b: f"c{b[0][0]}-{len(b)}-blocks")
+    def test_c_ladder_agrees_or_is_refused_fast(self, tmp_path, capsys, blocks):
+        c = blocks[0][0]
+        n_prime = 2 + c * sum(len(block) for block in blocks[2:])
+        path = write_spec(tmp_path, "in.json", {"kind": "trinomial", "blocks": blocks})
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "--format", "json", "classgroup", "--method", "both", path)
+        elapsed = time.perf_counter() - started
+        if n_prime <= MAX_N_PRIME:
+            assert code == EXIT_OK, err
+            record = json.loads(out)["class_group"]
+            assert record["agree"] is True
+            assert record["snf"] == record["formula"] == record["group"]
+            assert record["group"]["invariant_factors"] == [3] * (c - 1)
+            assert elapsed < C_LADDER_BOUND_S
+        else:
+            assert code == EXIT_RESOURCE_LIMIT, out
+            assert json.loads(err.splitlines()[0])["error_type"] == "ResourceLimitError"
+            assert elapsed < REFUSAL_BOUND_S

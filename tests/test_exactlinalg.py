@@ -13,8 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import make_golden
 from oracles import (
+    block_diagonal,
+    chain_pairwise,
+    coordinates_in_lattice,
     determinantal_divisor,
+    hermite_reference,
     identity,
     is_sublattice,
     matmul,
@@ -23,14 +28,13 @@ from oracles import (
     stack,
     transpose,
 )
-from tricl.classgroup import class_group_formula, grading_matrix
+from tricl import exactlinalg
+from tricl.classgroup import GroupMethod, class_group_formula, class_group_report, grading_matrix
 from tricl.exactlinalg import (
     FgAbelianGroup,
     IntMatrix,
-    block_diagonal,
     canonical_group,
     cokernel,
-    coordinates_in_lattice,
     element_order_in_cokernel,
     hermite_basis,
     is_saturated_sublattice,
@@ -67,7 +71,7 @@ class TestIntMatrix:
 
     def test_empty_matrices(self):
         assert M([], cols=4).rows == 0
-        assert IntMatrix.zeros(0, 0).entries == ()
+        assert IntMatrix(0, 0, ()).entries == ()
 
     def test_accessors(self):
         a = M([[1, 2, 3], [4, 5, 6]])
@@ -75,7 +79,6 @@ class TestIntMatrix:
         assert a.row(0) == (1, 2, 3)
         assert transpose(a) == M([[1, 4], [2, 5], [3, 6]])
         assert stack(a, M([[7, 8, 9]])) == M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert a.with_row([7, 8, 9]) == stack(a, M([[7, 8, 9]]))
 
     def test_matmul(self):
         a = M([[1, 2], [3, 4]])
@@ -85,6 +88,32 @@ class TestIntMatrix:
     def test_block_diagonal(self):
         b = block_diagonal([M([[1, 2]]), M([[3], [4]])])
         assert b == M([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+
+
+class TestSparseStorage:
+    def test_sparse_and_dense_construction_agree(self):
+        dense = M([[0, 2, 0], [0, 0, 0], [5, 0, -1]])
+        sparse = IntMatrix.from_sparse([{1: 2}, {}, {0: 5, 2: -1}], 3)
+        assert sparse == dense and hash(sparse) == hash(dense)
+        assert sparse.entries == dense.entries == (0, 2, 0, 0, 0, 0, 5, 0, -1)
+        assert sparse.row(2) == (5, 0, -1) and sparse[0, 1] == 2 and sparse[1, 2] == 0
+        assert str(sparse) == str(dense) and repr(sparse) == repr(dense)
+        with pytest.raises(IndexError):
+            sparse[3, 0]
+
+    def test_immutable(self):
+        a = M([[1, 2]])
+        with pytest.raises(AttributeError):
+            a.rows = 3
+
+    def test_the_engine_leaves_the_rows_as_they_were(self):
+        rows = [{0: 2, 1: 4, 2: 1}, {0: 6, 1: 8}, {1: 3, 2: 3}, {0: 1, 2: 1}]
+        before = [dict(row) for row in rows]
+        a = IntMatrix.from_sparse(rows, 3)
+        assert smith_invariants(a) == smith_invariants(M([list(a.row(i)) for i in range(4)]))
+        hermite_basis(a)
+        element_order_in_cokernel(a, (1, 0, 0))
+        assert rows == before
 
 
 class TestSmith:
@@ -100,7 +129,7 @@ class TestSmith:
         assert data.invariant_factors == (2, 4)
 
     def test_zero_matrix(self):
-        data = smith_invariants(IntMatrix.zeros(3, 3))
+        data = smith_invariants(IntMatrix(3, 3, (0,) * 9))
         assert data.rank == 0
         assert data.invariant_factors == ()
 
@@ -195,6 +224,16 @@ class TestSmithEngine:
             expected = FgAbelianGroup(rank, tuple(f for f in chain if f > 1))
             assert canonical_group(factors, rank) == expected
 
+    def test_minor_of_a_nonsingular_square_matrix_is_its_determinant(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            a = M([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            det = determinantal_divisor(a, n)
+            if det:
+                rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(n)]
+                assert exactlinalg._rank_and_minor(rows) == (n, det), a
+
     def test_block_diagonal_is_the_direct_sum(self):
         # Z/4 from the first block and Z/6 x Z from the second.
         a = block_diagonal([M([[4]]), M([[2, 0, 0], [0, 3, 0]])])
@@ -275,7 +314,7 @@ class TestCokernel:
     def test_invariance_under_row_operations(self, a, rng):
         """Metamorphic: row permutation, negation and row adds fix the cokernel."""
         base = cokernel(a)
-        rows = a.to_rows()
+        rows = [list(a.row(i)) for i in range(a.rows)]
         if rows:
             for _ in range(6):
                 op = rng.randrange(3)
@@ -377,7 +416,7 @@ class TestLattices:
 
     def test_zero_lattice_is_saturated(self):
         assert is_saturated_sublattice(M([], cols=2), identity(2))
-        assert is_saturated_sublattice(IntMatrix.zeros(2, 2), identity(2))
+        assert is_saturated_sublattice(IntMatrix(2, 2, (0,) * 4), identity(2))
 
     def test_relation_block_lattice_is_saturated(self):
         assert is_saturated_sublattice(matrix_B(2, (2, 2), 2), matrix_A(2, (2, 2)))
@@ -401,6 +440,77 @@ class TestLattices:
     @settings(max_examples=80, deadline=None)
     def test_full_lattice_saturated_in_itself(self, a):
         assert is_saturated_sublattice(a, a)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hermite_basis_matches_the_dense_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            a = _random_matrix(rng)
+            assert hermite_basis(a) == hermite_reference(a), a
+        for k in (1, 2, 5):
+            for l in ((2,), (6, 4), (3, 3, 6), (1, 1)):
+                for a in (matrix_A(k, l), matrix_B(k, l, math.gcd(*l))):
+                    assert hermite_basis(a) == hermite_reference(a)
+
+
+def _recorded_chain_inputs(monkeypatch, run) -> list[list[int]]:
+    """Every factor list that `_chain` receives while `run()` runs."""
+    seen = []
+    original = exactlinalg._chain
+
+    def recording(factors):
+        factors = list(factors)
+        seen.append(factors)
+        return original(factors)
+
+    monkeypatch.setattr(exactlinalg, "_chain", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+class TestChainAgainstPairwise:
+    """The coprime-base chain against the all-pairs gcd/lcm exchange."""
+
+    def test_edge_cases(self):
+        for factors in ([], [1], [1, 1, 1], [7], [2, 2, 2], [6, 10, 15], [4, 6, 1, 9]):
+            assert exactlinalg._chain(factors) == chain_pairwise(factors)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_factor_lists(self, seed):
+        rng = random.Random(seed)
+        primes = [2, 3, 5, 7, 11, 13, 10**12 + 39, 999_999_000_001]
+        for _ in range(700):
+            pool = [
+                math.prod(rng.choice(primes) ** rng.randint(0, 3) for _ in range(rng.randint(0, 3)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            pool += [rng.randint(10**12, 10**12 + 10**6), 1]
+            factors = [rng.choice(pool) for _ in range(rng.randint(0, 14))]
+            expected = chain_pairwise(factors)
+            assert exactlinalg._chain(factors) == expected, factors
+            assert canonical_group(factors, 1) == FgAbelianGroup(1, expected)
+
+    def test_chain_inputs_of_the_enumeration(self, monkeypatch, enumeration_corpus):
+        inputs = _recorded_chain_inputs(
+            monkeypatch, lambda: [class_group_formula(v) for v, _ in enumeration_corpus]
+        )
+        assert len(inputs) > 1000
+        for factors in inputs:
+            assert exactlinalg._chain(factors) == chain_pairwise(factors), factors
+
+    def test_chain_inputs_of_the_ladders(self, monkeypatch):
+        ladders = [
+            adjust(TrinomialVariety(spec["blocks"]))[0]
+            for name, spec in make_golden.inputs()
+            if name.startswith("case_")
+        ]
+        inputs = _recorded_chain_inputs(
+            monkeypatch, lambda: [class_group_report(v, GroupMethod.BOTH) for v in ladders]
+        )
+        assert len(inputs) > len(ladders)
+        for factors in inputs:
+            assert exactlinalg._chain(factors) == chain_pairwise(factors), factors
 
 
 class TestCanonicalGroup:
