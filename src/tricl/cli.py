@@ -26,6 +26,7 @@ relations and the block sizes to guard against accidentally huge inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -62,6 +63,7 @@ from .exactlinalg import IntMatrix
 from .selftest import run_selftest
 from .type1 import Type1Variety, adjust_type1, class_group_type1, lift_to_type2
 from .variety import (
+    MAX_N_PRIME,
     TrinomialVariety,
     adjust,
     block_invariants,
@@ -332,6 +334,11 @@ def _run_single(command: str, spec: VarietySpec, method: GroupMethod) -> dict:
         return out
 
     if command == "coxring":
+        # P1 is written densely, one column per variable.
+        if adjusted.n + adjusted.m > MAX_N_PRIME:
+            raise ResourceLimitError(
+                f"n + m = {adjusted.n + adjusted.m} P1 columns, over the {MAX_N_PRIME} handled"
+            )
         if not rationality_class(adjusted).is_rational:
             raise NotRationalError("the total coordinate space needs a rational variety")
         cox = total_coordinate_space(adjusted)
@@ -462,7 +469,9 @@ def _run_selftest(fmt: str, stream) -> int:
     return EXIT_OK if failures == 0 else EXIT_INTERNAL_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built on the first call and shared by later ones, which must not change it.
     # --format is accepted before and after the subcommand; it is left unset
     # when absent, so that a subcommand does not overwrite the main value.
     common = argparse.ArgumentParser(add_help=False)

@@ -10,6 +10,7 @@ surfaces Y(a, b, c) = V(T1^a + T2^b + T3^c).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,19 +64,30 @@ def p1_matrix(variety: TrinomialVariety) -> IntMatrix:
 class CoxConstruction:
     """Total-coordinate-space data of an adjusted rational variety.
 
-    ``c`` lists the component counts c(i); ``tcs_blocks`` groups, per source
-    block, the c(i) identical exponent vectors of the total coordinate space;
-    ``tcs`` is the flattened (raw, not yet adjusted) trinomial variety with
-    n_prime block variables and r_prime + 1 blocks.
+    ``c`` lists the component counts c(i); ``tcs`` is the flattened (raw,
+    not yet adjusted) trinomial variety with n_prime block variables and
+    r_prime + 1 blocks, c(i) identical exponent vectors per source block;
+    ``tcs_blocks`` groups them per source block.
     """
 
     source: TrinomialVariety
     p1: IntMatrix
     c: tuple[int, ...]
-    tcs_blocks: tuple[tuple[tuple[int, ...], ...], ...]
     tcs: TrinomialVariety
-    n_prime: int
-    r_prime: int
+
+    @property
+    def tcs_blocks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        blocks = self.tcs.blocks
+        ends = itertools.accumulate(self.c)
+        return tuple(blocks[end - k : end] for k, end in zip(self.c, ends))
+
+    @property
+    def n_prime(self) -> int:
+        return self.tcs.n
+
+    @property
+    def r_prime(self) -> int:
+        return self.tcs.r
 
 
 def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
@@ -93,19 +105,9 @@ def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
         raise NotRationalError("the total coordinate space needs a rational variety")
 
     if kind.is_factorial:
-        ones = (1,) * len(variety.blocks)
-        grouped = tuple((block,) for block in variety.blocks)
         # Every pairwise gcd is 1, so no row of the exponent matrix is scaled.
         p1 = IntMatrix.from_sparse(_exponent_rows(variety.blocks), variety.n + variety.m)
-        return CoxConstruction(
-            source=variety,
-            p1=p1,
-            c=ones,
-            tcs_blocks=grouped,
-            tcs=variety,
-            n_prime=variety.n,
-            r_prime=variety.r,
-        )
+        return CoxConstruction(variety, p1, (1,) * len(variety.blocks), variety)
 
     # Kept in the value's instance dict, like its other analysis.  The parts
     # hold no reference back to `variety`, so the cache makes no cycle.
@@ -119,26 +121,15 @@ def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
 def _tcs_parts(variety: TrinomialVariety) -> tuple:
     """The fields after ``source`` of a non-factorial `CoxConstruction`."""
     p1 = _p1_rows(variety)
+    gcds = [0] * variety.n  # column gcds of P1, whose last m columns hold no entries
+    for row in p1._sparse:
+        for j, x in row.items():
+            gcds[j] = math.gcd(gcds[j], x)
     counts = variety._counts
     offsets = _block_offsets(variety.blocks)
-    grouped = []
-    for i, block in enumerate(variety.blocks):
-        # gcd over the whole column; zero entries outside the structural
-        # sparsity pattern are inert since gcd(x, 0) = x
-        column_gcds = tuple(
-            math.gcd(*(p1[row, offsets[i] + j] for row in range(p1.rows)))
-            for j in range(len(block))
-        )
-        copies = (column_gcds,) * counts[i]
-        assert len(set(copies)) == 1  # all copies within a block coincide
-        grouped.append(copies)
-    grouped = tuple(grouped)
-    flat = tuple(vec for copies in grouped for vec in copies)
-    tcs = TrinomialVariety(flat, variety.m, None)
-    n_prime = sum(counts[i] * len(block) for i, block in enumerate(variety.blocks))
-    r_prime = sum(counts) - 1
-    assert n_prime == tcs.n and r_prime == tcs.r
-    return p1, counts, grouped, tcs, n_prime, r_prime
+    vectors = [tuple(gcds[o : o + len(block)]) for o, block in zip(offsets, variety.blocks)]
+    flat = tuple(vector for vector, k in zip(vectors, counts) for _ in range(k))
+    return p1, counts, TrinomialVariety(flat, variety.m, None)
 
 
 _ADE_BY_TRIPLE = {(5, 3, 2): "E8", (4, 3, 2): "E6", (3, 3, 2): "D4"}

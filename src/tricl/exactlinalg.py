@@ -16,12 +16,10 @@ elimination that divides by its pivots can blow up: intermediate entries of
 the case-III grading matrices reached hundreds of thousands of bits
 (Havas, Majewski and Matthews, Exp. Math. 7, 1998).  Instead:
 
-* The matrix is split into its connected blocks (rows linked by shared
-  columns); the invariants of a direct sum are those of its blocks.
-* Per block, pivots that need no remainder steps go first: a row whose own
-  columns have a gcd dividing the row splits off at no cost, and an entry
-  that divides its whole column clears it by an exact Gaussian step.  The
-  entries left are ratios of minors, so they stay below the Hadamard bound.
+* Pivots that need no remainder steps go first: a row whose own columns
+  have a gcd dividing the row splits off at no cost, and an entry that
+  divides its whole column clears it by an exact Gaussian step.  The entries
+  left are ratios of minors, so they stay below the Hadamard bound.
 * On the rest, fraction-free (Bareiss) elimination gives the rank r and a
   nonzero r x r minor D, and the rows are diagonalised over Z/DZ with every
   entry reduced mod D (Domich, Kannan and Trotter, Math. Oper. Res. 12,
@@ -32,10 +30,12 @@ the case-III grading matrices reached hundreds of thousands of bits
   over a coprime base of its orders (Bernstein, J. Algorithms 54, 2005),
   which is all `canonical_group` does.
 
-Pivots come from queues keyed by Markowitz (fill-in) cost and re-keyed only
-where a pivot changed something, and a column index finds the rows a pivot
-touches (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001), so the
-work follows the nonzeros of the sparse matrices, not their cells.
+The exact stage takes its pivots from a heap of columns keyed by Markowitz
+(fill-in) cost and re-keyed only where a pivot changed something (Dumas,
+Saunders and Villard, J. Symbolic Comput. 32, 2001).  It leaves at most a
+few dozen rows, so the Bareiss and mod-D stages scan them for each pivot.
+A column index finds the rows a pivot touches, so the work follows the
+nonzeros of the sparse matrices, not their cells.
 """
 
 from __future__ import annotations
@@ -243,34 +243,13 @@ class _Rows:
         units = [j for j, x in row.items() if x == 1 or x == minus_one]
         return min(units or row, key=lambda j: len(self.where[j]))
 
-
-class _RowQueue:
-    """Live rows by pivot preference: a row holding 1 or `minus_one` first,
-    then the shortest, then the first.  Only the rows a pivot touched are
-    re-keyed (`update`); stale heap entries are skipped."""
-
-    def __init__(self, rows: list[Optional[SparseRow]], minus_one: int) -> None:
-        self.rows, self.minus_one = rows, minus_one
-        self.keys: list[Optional[tuple[int, int]]] = [None] * len(rows)
-        self.heap: list[tuple[tuple[int, int], int]] = []
-        for i in range(len(rows)):
-            self.update(i)
-
-    def update(self, i: int) -> None:
-        row = self.rows[i]
-        key = row and (0 if 1 in row.values() or self.minus_one in row.values() else 1, len(row))
-        if key and key != self.keys[i]:
-            heapq.heappush(self.heap, (key, i))
-        self.keys[i] = key
-
-    def pop(self) -> int:
-        """Index of the preferred live row, taken off the queue; -1 if none."""
-        while self.heap:
-            key, i = heapq.heappop(self.heap)
-            if self.keys[i] == key:
-                self.keys[i] = None
-                return i
-        return -1
+    def pivot_row(self, minus_one: int) -> int:
+        """The live row to pivot on next, -1 if none is left: a row holding 1
+        or `minus_one` first, then the shortest, then the first."""
+        units = {1, minus_one}
+        rows = enumerate(self.rows)
+        keys = [(units.isdisjoint(row.values()), len(row), i) for i, row in rows if row]
+        return min(keys)[2] if keys else -1
 
 
 def _eliminate_exact(rows: list[SparseRow]) -> tuple[list[int], list[SparseRow]]:
@@ -355,10 +334,9 @@ def _rank_and_minor(rows: list[SparseRow]) -> tuple[int, int]:
     column are touched, in place.  `rows` is left as it was.
     """
     work = _Rows(dict(row) for row in rows)
-    queue = _RowQueue(work.rows, -1)
     tags = [0] * len(work.rows)
     pivots = [1]
-    while (i := queue.pop()) >= 0:
+    while (i := work.pivot_row(-1)) >= 0:
         k = len(pivots) - 1
         prev = pivots[k]
         c = work.pivot_column(i, -1)
@@ -380,7 +358,6 @@ def _rank_and_minor(rows: list[SparseRow]) -> tuple[int, int]:
                 for j, x in row.items():
                     row[j] = x // prev
             tags[t] = k + 1
-            queue.update(t)
         pivots.append(p)
     return len(pivots) - 1, pivots[-1]
 
@@ -408,18 +385,15 @@ def _diagonal_mod(rows: list[SparseRow], modulus: int) -> list[int]:
     """
     work = _Rows({j: r for j, x in row.items() if (r := x % modulus)} for row in rows)
     minus_one = modulus - 1
-    queue = _RowQueue(work.rows, minus_one)
     diagonal = []
-    while (i := queue.pop()) >= 0:
+    while (i := work.pivot_row(minus_one)) >= 0:
         c = work.pivot_column(i, minus_one)
         pivot_row = work.remove(i)
-        touched = set()
         while True:
             p = pivot_row[c]
             g = math.gcd(p, modulus)
             inverse = pow(p // g, -1, modulus // g)
             for t in list(work.where[c]):
-                touched.add(t)
                 row = work.rows[t]
                 x = row[c]
                 if x % g == 0:
@@ -450,12 +424,9 @@ def _diagonal_mod(rows: list[SparseRow], modulus: int) -> list[int]:
             h, s, r = _xgcd(p, y)
             pivot_row[c] = h
             for t in list(work.where[offender]):  # column c is clear
-                touched.add(t)
                 b = work.rows[t][offender]
                 work.subtract(t, -1, {c: r * b % modulus, offender: p // h * b % modulus - b})
         diagonal.append(g)
-        for t in touched:
-            queue.update(t)
     return diagonal
 
 

@@ -14,6 +14,7 @@ from tricl.cli import (
     EXIT_OK,
     EXIT_RESOURCE_LIMIT,
     SpecError,
+    build_parser,
     main,
     parse_spec,
 )
@@ -111,6 +112,16 @@ class TestSubcommands:
         text = run_cli(capsys, "report", path)
         assert text[0] == EXIT_OK and text[1] != before[1]
         assert run_cli(capsys, "--format", "text", "report", path) == text
+
+    def test_parser_is_built_once_and_keeps_no_options_between_calls(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": [[4], [2], [3, 3]]})
+        code, out, _ = run_cli(capsys, "--format", "json", "classgroup", "--method", "snf", path)
+        assert code == EXIT_OK
+        assert json.loads(out)["class_group"]["method"] == "snf"
+        code, out, _ = run_cli(capsys, "classgroup", path)
+        assert code == EXIT_OK
+        assert out.startswith("input:\n") and "\n  method: both\n" in out
+        assert build_parser() is build_parser()
 
     def test_classgroup_not_finitely_generated_exits_3(self, tmp_path, capsys):
         path = write_spec(
@@ -292,16 +303,28 @@ class TestBatch:
 
 
 # Case III with single-variable blocks, from 3 blocks up to the 17 that the
-# default TRICL_MAX_BLOCK admits, and the six-block case II tail.
+# default TRICL_MAX_BLOCK admits, the six-block case II tail, and case III at
+# 17 blocks of 16 variables, whose Bareiss and mod-D stages get 60 x 704
+# rows, the most of any in-cap input tried.
 CASE_III_PRIMES = (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 CAP_LADDER = [
     [[2], [4], [10]] + [[p] for p in CASE_III_PRIMES[: k - 3]]
     for k in range(3, DEFAULT_MAX_BLOCK + 2)
-] + [[[16], [16], [3], [5], [7], [11]]]
-# Each point takes under 30 ms on a 2-vCPU host.  Integer elimination
-# without a bound on entry growth needs over 120 s at 10 blocks, so the
-# bound catches its return with room to spare on a slow host.
+] + [
+    [[16], [16], [3], [5], [7], [11]],
+    [[2] * 16, [4] * 16, [10] * 16] + [[p] * 16 for p in CASE_III_PRIMES],
+]
+# Each single-variable point takes under 30 ms on a 2-vCPU host, and the
+# 16-variable one ~0.2 s.  Integer elimination without a bound on entry
+# growth needs over 120 s at 10 blocks, so the bound catches its return with
+# room to spare on a slow host.
 CAP_LADDER_BOUND_S = 2.0
+
+
+def _ladder_id(blocks):
+    width = f"x{len(blocks[0])}" if len(blocks[0]) > 1 else ""
+    return f"{len(blocks)}-blocks-{blocks[0][0]}{width}"
+
 
 # Case II with c = 2^8 ... 2^16 in two shapes, [[c], [c], [3]] and
 # [[c], [c], [3], [5, 7]]: their TCS has n' = 2 + c (n_2 + ...) generators.
@@ -318,7 +341,7 @@ REFUSAL_BOUND_S = 0.5
 
 
 class TestCapLadder:
-    @pytest.mark.parametrize("blocks", CAP_LADDER, ids=lambda b: f"{len(b)}-blocks-{b[0][0]}")
+    @pytest.mark.parametrize("blocks", CAP_LADDER, ids=_ladder_id)
     def test_formula_equals_snf_in_bounded_time(self, tmp_path, capsys, blocks):
         path = write_spec(tmp_path, "in.json", {"kind": "trinomial", "blocks": blocks})
         started = time.perf_counter()
@@ -349,3 +372,22 @@ class TestCapLadder:
             assert code == EXIT_RESOURCE_LIMIT, out
             assert json.loads(err.splitlines()[0])["error_type"] == "ResourceLimitError"
             assert elapsed < REFUSAL_BOUND_S
+
+    @pytest.mark.parametrize(
+        "blocks", [[[4], [2], [3, 3]], [[2], [3], [5]]], ids=("non-factorial", "factorial")
+    )
+    def test_coxring_refuses_n_plus_m_beyond_the_bound_fast(self, tmp_path, capsys, blocks):
+        path = write_spec(tmp_path, "in.json", {"kind": "trinomial", "blocks": blocks, "m": 10**8})
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "--format", "json", "coxring", path)
+        elapsed = time.perf_counter() - started
+        assert code == EXIT_RESOURCE_LIMIT, out
+        assert json.loads(err.splitlines()[0])["error_type"] == "ResourceLimitError"
+        assert elapsed < REFUSAL_BOUND_S
+
+    def test_coxring_writes_p1_up_to_the_bound(self, tmp_path, capsys):
+        spec = {"kind": "trinomial", "blocks": [[4], [2], [3, 3]], "m": MAX_N_PRIME - 4}
+        path = write_spec(tmp_path, "in.json", spec)
+        code, out, err = run_cli(capsys, "--format", "json", "coxring", path)
+        assert code == EXIT_OK, err
+        assert [len(row) for row in json.loads(out)["coxring"]["p1"]] == [MAX_N_PRIME] * 2
