@@ -11,9 +11,10 @@ Subcommands accept one or more files or directories (a directory is the
 batch of its *.json files); failure in one input never aborts the others.
 Output goes to stdout as indented text or, with --format json (before or
 after the subcommand), as one JSON object per input.  Exit codes: 0
-success, 2 invalid input, 3 class group not finitely generated where a
-group was demanded, 4 iteration/diagram not admitted, 5 internal
-cross-check mismatch, 6 input beyond the size handled (or out of memory).
+success, 2 invalid input (a file that is not UTF-8 JSON included), 3 class
+group not finitely generated where a group was demanded, 4
+iteration/diagram not admitted, 5 internal cross-check mismatch, 6 input
+beyond the size handled (or out of memory).
 
 Variety data is checked when the variety is constructed; structural errors
 exit 2.  With --method formula no Smith form presents the class group, but
@@ -123,6 +124,10 @@ def parse_spec(text: str) -> VarietySpec:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError:  # int() refused an over-long integer literal
+        raise SpecError(f"an integer has more than {sys.get_int_max_str_digits()} digits")
+    except RecursionError:
+        raise SpecError("JSON nested too deeply")
     if not isinstance(raw, dict):
         raise SpecError("top level must be a JSON object")
     unknown = set(raw) - {"kind", "blocks", "m", "theta"}
@@ -532,7 +537,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     ok_count = 0
     for path in paths:
         try:
-            spec = parse_spec(path.read_text(encoding="utf-8"))
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise SpecError(f"not UTF-8 text: {exc.reason} at byte {exc.start}")
+            spec = parse_spec(text)
             report = _run_single(args.command, spec, method)
             report["file"] = str(path)
             _emit(report, fmt, stream)

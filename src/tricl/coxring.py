@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -174,13 +173,15 @@ class PlatonicTriple:
 def is_hyperplatonic(variety: TrinomialVariety) -> Optional[PlatonicTriple]:
     """The basic platonic triple when 1/L0 + ... + 1/Lr > r - 1, else None.
 
-    Evaluated in exact rational arithmetic.  Both the inequality and the
-    triple (the three largest block gcds, padded with 1s below three blocks)
-    are invariant under adjustment, so any variety is accepted.
+    Evaluated in integers: times L = lcm(L0, ..., Lr), the inequality reads
+    L/L0 + ... + L/Lr > (r - 1) L.  Both the inequality and the triple (the
+    three largest block gcds, padded with 1s below three blocks) are
+    invariant under adjustment, so any variety is accepted.
     """
     gcds = variety.block_gcds()
-    threshold = len(variety.blocks) - 2  # r - 1
-    if sum(Fraction(1, g) for g in gcds) <= threshold:
+    threshold = len(gcds) - 2  # r - 1
+    lcm = math.lcm(*gcds)
+    if sum(lcm // g for g in gcds) <= threshold * lcm:
         return None
     top = sorted(gcds, reverse=True)[:3]
     top += [1] * (3 - len(top))

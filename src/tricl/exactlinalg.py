@@ -34,8 +34,9 @@ The exact stage takes its pivots from a heap of columns keyed by Markowitz
 (fill-in) cost and re-keyed only where a pivot changed something (Dumas,
 Saunders and Villard, J. Symbolic Comput. 32, 2001).  It leaves at most a
 few dozen rows, so the Bareiss and mod-D stages scan them for each pivot.
-A column index finds the rows a pivot touches, so the work follows the
-nonzeros of the sparse matrices, not their cells.
+The three elimination stages and `hermite_basis` keep their rows in
+`_Rows`, whose column index finds the rows a pivot touches, so the work
+follows the nonzeros of the sparse matrices, not their cells.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -206,13 +208,13 @@ class _Rows:
 
     def __init__(self, rows: Iterable[SparseRow]) -> None:
         self.rows: list[Optional[SparseRow]] = []
-        self.where: dict[int, set[int]] = {}
+        self.where: defaultdict[int, set[int]] = defaultdict(set)
         for row in rows:
             self.append(row)
 
     def append(self, row: SparseRow) -> None:
         for j in row:
-            self.where.setdefault(j, set()).add(len(self.rows))
+            self.where[j].add(len(self.rows))
         self.rows.append(row)
 
     def remove(self, i: int) -> SparseRow:
@@ -230,7 +232,7 @@ class _Rows:
                 value %= modulus
             if value:
                 if j not in row:
-                    where.setdefault(j, set()).add(t)
+                    where[j].add(t)
                 row[j] = value
             elif j in row:
                 del row[j]
@@ -286,8 +288,8 @@ def _eliminate_exact(rows: list[SparseRow]) -> tuple[list[int], list[SparseRow]]
             row = rows[i]
             if row is None or not own[i]:
                 continue
-            g = math.gcd(*(row[j] for j in own[i]))
-            if any(y % g for y in row.values()):
+            g = math.gcd(*map(row.__getitem__, own[i]))
+            if g != 1 and math.gcd(*row.values()) != g:  # g does not divide the row
                 continue
             orders.append(g)
             for j in work.remove(i):
@@ -297,15 +299,26 @@ def _eliminate_exact(rows: list[SparseRow]) -> tuple[list[int], list[SparseRow]]
                     pending.append(sole)
                 changed.add(j)
         for j in changed:
-            queued.pop(j, None)
             holders = where[j]
             if len(holders) > 1:
-                g = math.gcd(*(rows[t][j] for t in holders))
-                fits = [t for t in holders if t not in used and abs(rows[t][j]) == g]
-                if fits:
-                    i = min(fits, key=lambda t: (len(rows[t]), t))
-                    queued[j] = ((len(holders) - 1) * (len(rows[i]) - 1), j, i)
-                    heapq.heappush(queue, queued[j])
+                # Pivot on an unused row whose entry is the column gcd up to
+                # sign, the shortest such row, then the first.  No entry is
+                # below the gcd, so the least (|entry|, length, row) decides.
+                g, best = 0, None
+                for t in holders:
+                    row = rows[t]
+                    x = row[j]
+                    g = math.gcd(g, x)
+                    if t not in used:
+                        key = (abs(x), len(row), t)
+                        if best is None or key < best:
+                            best = key
+                if best and best[0] == g:
+                    _, length, i = best
+                    queued[j] = entry = ((len(holders) - 1) * (length - 1), j, i)
+                    heapq.heappush(queue, entry)
+                    continue
+            queued.pop(j, None)
         changed.clear()
         while queue and queued.get(queue[0][1]) != queue[0]:
             heapq.heappop(queue)

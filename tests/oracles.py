@@ -3,8 +3,10 @@
 Nothing under ``src/`` imports this module.
 """
 
+import heapq
 import itertools
 import math
+from fractions import Fraction
 from typing import Optional
 
 from tricl.exactlinalg import IntMatrix, hermite_basis, matrix_A
@@ -113,6 +115,12 @@ def rationality_reference(blocks) -> RationalityClass:
     if pair(0, 1) == pair(0, 2) == pair(1, 2) == 2 and outside_012:
         return RationalityClass(RationalityKind.CASE_III)
     return RationalityClass(RationalityKind.NON_RATIONAL)
+
+
+def hyperplatonic_reference(gcds) -> bool:
+    """1/L0 + ... + 1/Lr > r - 1 for the block gcds L0, ..., Lr, summed in
+    exact rational arithmetic."""
+    return sum(Fraction(1, g) for g in gcds) > len(gcds) - 2
 
 
 def counts_reference(blocks) -> tuple[int, ...]:
@@ -315,6 +323,96 @@ def determinantal_divisor(matrix: IntMatrix, k: int) -> int:
             if g == 1:
                 return 1
     return g
+
+
+def eliminate_exact_reference(rows: list[dict]) -> tuple[list[int], list[dict]]:
+    """The exact-pivot stage of `smith_invariants`, written plainly.
+
+    The pivot rule of `tricl.exactlinalg._eliminate_exact`, step for step:
+    a row whose own columns (those no other row uses) have a gcd g dividing
+    the whole row splits off Z/g; between splits, the heap of (Markowitz
+    cost, column, row) gives the next pivot, an entry of a row not yet
+    pivoted on that equals its column gcd up to sign, in the shortest such
+    row, then the first.  It keeps its own column index and row updates, so
+    a fault in the engine's `_Rows` shows as a different result.  Returns
+    the split-off orders and the rows left; consumes `rows`.
+    """
+    rows = list(rows)
+    where: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+
+    def remove(i):
+        row, rows[i] = rows[i], None
+        for j in row:
+            where[j].discard(i)
+        return row
+
+    def subtract(t, q, pivot_row):
+        row = rows[t]
+        for j, y in pivot_row.items():
+            value = row.get(j, 0) - q * y
+            if value:
+                if j not in row:
+                    where.setdefault(j, set()).add(t)
+                row[j] = value
+            elif j in row:
+                del row[j]
+                where[j].discard(t)
+
+    used: set[int] = set()
+    queue: list[tuple[int, int, int]] = []
+    queued: dict[int, tuple[int, int, int]] = {}
+    own: list[set[int]] = [set() for _ in rows]
+    for j, holders in where.items():
+        if len(holders) == 1:
+            own[next(iter(holders))].add(j)
+    orders = []
+    pending = list(range(len(rows)))
+    changed = set(where)
+    while True:
+        while pending:
+            i = pending.pop()
+            row = rows[i]
+            if row is None or not own[i]:
+                continue
+            g = math.gcd(*(row[j] for j in own[i]))
+            if any(y % g for y in row.values()):
+                continue
+            orders.append(g)
+            for j in remove(i):
+                if len(where[j]) == 1:
+                    (sole,) = where[j]
+                    own[sole].add(j)
+                    pending.append(sole)
+                changed.add(j)
+        for j in changed:
+            queued.pop(j, None)
+            holders = where[j]
+            if len(holders) > 1:
+                g = math.gcd(*(rows[t][j] for t in holders))
+                fits = [t for t in holders if t not in used and abs(rows[t][j]) == g]
+                if fits:
+                    i = min(fits, key=lambda t: (len(rows[t]), t))
+                    queued[j] = ((len(holders) - 1) * (len(rows[i]) - 1), j, i)
+                    heapq.heappush(queue, queued[j])
+        changed.clear()
+        while queue and queued.get(queue[0][1]) != queue[0]:
+            heapq.heappop(queue)
+        if not queue:
+            break
+        _, j, i = heapq.heappop(queue)
+        used.add(i)
+        pivot_row = rows[i]
+        for t in list(where[j]):
+            if t != i:
+                subtract(t, rows[t][j] // pivot_row[j], pivot_row)
+                pending.append(t)
+        pending.append(i)
+        own[i] = {k for k in pivot_row if len(where[k]) == 1}
+        changed.update(pivot_row)
+    return orders, [row for row in rows if row]
 
 
 def _to_rows(matrix: IntMatrix) -> list[list[int]]:

@@ -1,6 +1,7 @@
 """Tests for the command line front end: parsing, reports, exit codes."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -139,6 +140,30 @@ class TestSubcommands:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "absent.json"))
         assert code == EXIT_INVALID_INPUT
+
+    def _assert_refused_as_input(self, capsys, path, message):
+        code, _, err = run_cli(capsys, "--format", "json", "classgroup", str(path))
+        assert code == EXIT_INVALID_INPUT
+        failure = json.loads(err.splitlines()[0])
+        assert failure["error_type"] == "SpecError" and failure["exit_code"] == 2
+        assert message in failure["error"]
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "v.json"
+        path.write_bytes(b"\xff\xfe{}")
+        self._assert_refused_as_input(capsys, path, "not UTF-8")
+
+    def test_over_long_integer_exits_2(self, tmp_path, capsys):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        path = tmp_path / "v.json"
+        path.write_text('{"kind": "trinomial", "blocks": [[' + digits + "]]}", encoding="utf-8")
+        self._assert_refused_as_input(capsys, path, "digits")
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        depth = 10 * sys.getrecursionlimit()
+        path = tmp_path / "v.json"
+        path.write_text('{"blocks": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+        self._assert_refused_as_input(capsys, path, "nested too deeply")
 
     def test_iterate_not_admitted_exits_4(self, tmp_path, capsys):
         path = write_spec(

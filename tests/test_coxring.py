@@ -2,6 +2,9 @@
 
 import pytest
 
+import make_golden
+from oracles import hyperplatonic_reference
+from test_variety import criterion_9_multisets
 from tricl.classgroup import class_group_formula
 from tricl.coxring import (
     PlatonicTriple,
@@ -119,6 +122,39 @@ class TestHyperplatonic:
         triple = is_hyperplatonic(V([[3], [3], [2], [1, 1]]))
         assert triple.as_tuple() == (3, 3, 2)
         assert triple.ade_label == "D4"
+
+    @staticmethod
+    def _assert_matches_fractions(variety):
+        expected = hyperplatonic_reference(variety.block_gcds())
+        assert (is_hyperplatonic(variety) is not None) == expected, variety.blocks
+
+    def test_integer_test_matches_fractions_on_criterion_9(self):
+        count = 0
+        for blocks in criterion_9_multisets():
+            self._assert_matches_fractions(V(blocks))
+            count += 1
+        assert count == 45_880
+
+    def test_integer_test_matches_fractions_on_golden_chain_steps(self):
+        lengths = []
+        for _, spec in make_golden.inputs():
+            variety = V(spec["blocks"], spec.get("m", 0))
+            try:
+                chain = iterate_cox_rings(variety)
+            except (IterationNotAdmittedError, NotRationalError):
+                continue
+            for step in chain.steps:
+                self._assert_matches_fractions(step.variety)
+            lengths.append(len(chain.steps))
+        assert len(lengths) > 10 and max(lengths) == 4
+
+    def test_integer_test_matches_fractions_on_one_and_two_blocks(self):
+        self._assert_matches_fractions(V([]))
+        for a in range(1, 13):
+            self._assert_matches_fractions(V([[a]]))
+            for b in range(1, 13):
+                self._assert_matches_fractions(V([[a], [b]]))
+                self._assert_matches_fractions(V([[a, 2 * a], [b, b]]))
 
     def test_basic_platonic_triple_raises(self):
         with pytest.raises(NotHyperplatonicError):

@@ -19,6 +19,7 @@ from oracles import (
     chain_pairwise,
     coordinates_in_lattice,
     determinantal_divisor,
+    eliminate_exact_reference,
     hermite_reference,
     identity,
     is_sublattice,
@@ -28,6 +29,7 @@ from oracles import (
     stack,
     transpose,
 )
+from test_cli import CAP_LADDER, C_LADDER
 from tricl import exactlinalg
 from tricl.classgroup import GroupMethod, class_group_formula, class_group_report, grading_matrix
 from tricl.exactlinalg import (
@@ -511,6 +513,78 @@ class TestChainAgainstPairwise:
         assert len(inputs) > len(ladders)
         for factors in inputs:
             assert exactlinalg._chain(factors) == chain_pairwise(factors), factors
+
+
+def _recorded_exact_inputs(monkeypatch, run) -> list[list[dict]]:
+    """A copy of every row list that `_eliminate_exact` receives while
+    `run()` runs."""
+    seen = []
+    original = exactlinalg._eliminate_exact
+
+    def recording(rows):
+        seen.append([dict(row) for row in rows])
+        return original(rows)
+
+    monkeypatch.setattr(exactlinalg, "_eliminate_exact", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def _assert_same_exact_stage(rows):
+    expected = eliminate_exact_reference([dict(row) for row in rows])
+    assert exactlinalg._eliminate_exact([dict(row) for row in rows]) == expected, rows
+
+
+def _random_sparse_rows(rng) -> list[dict]:
+    """Seeded sparse rows: zero rows, repeated columns and rows, and entries
+    of either sign up to 10^12 beside small ones."""
+    cols = rng.sample(range(3 * 12), rng.randint(1, 12))  # not contiguous
+    pool = rng.choice([(1,), (1, 2), (1, 2, 3, 6), (2, 3, 4), (1, 10**12, 10**12 + 1)])
+    density = rng.choice([0.15, 0.3, 0.6])
+    rows = [
+        {j: rng.choice(pool) * rng.choice((1, -1)) for j in cols if rng.random() < density}
+        for _ in range(rng.randint(0, 12))
+    ]
+    for _ in range(rng.randint(0, 2)):  # column b repeats column a
+        a, b = rng.choice(cols), rng.choice(cols)
+        for row in rows:
+            row.pop(b, None)
+            if a in row:
+                row[b] = row[a]
+    if rows and rng.random() < 0.3:  # a row repeated, up to a factor
+        q = rng.choice((1, -1, 2))
+        rows.append({j: q * x for j, x in rng.choice(rows).items()})
+    rng.shuffle(rows)
+    return rows
+
+
+class TestExactStageAgainstReference:
+    """`_eliminate_exact` against the plain statement of its pivot rule:
+    the same split-off orders and the same rows left, in the same order."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_sparse_rows(self, seed):
+        rng = random.Random(seed)
+        for _ in range(1000):
+            _assert_same_exact_stage(_random_sparse_rows(rng))
+
+    def test_inputs_of_the_golden_corpus(self, monkeypatch):
+        monkeypatch.delenv("TRICL_MAX_BLOCK", raising=False)
+        inputs = _recorded_exact_inputs(monkeypatch, make_golden.records)
+        assert len(inputs) > 100
+        for rows in inputs:
+            _assert_same_exact_stage(rows)
+
+    def test_inputs_of_the_ladders(self, monkeypatch):
+        ladders = CAP_LADDER + [b for b in C_LADDER if b[0][0] <= 1 << 12]
+        varieties = [adjust(TrinomialVariety(blocks))[0] for blocks in ladders]
+        inputs = _recorded_exact_inputs(
+            monkeypatch, lambda: [class_group_report(v, GroupMethod.BOTH) for v in varieties]
+        )
+        assert len(inputs) == 2 * len(ladders)
+        for rows in inputs:
+            _assert_same_exact_stage(rows)
 
 
 class TestCanonicalGroup:
