@@ -14,14 +14,15 @@ after the subcommand), as one JSON object per input.  Exit codes: 0
 success, 2 invalid input (a file that is not UTF-8 JSON included), 3 class
 group not finitely generated where a group was demanded, 4
 iteration/diagram not admitted, 5 internal cross-check mismatch, 6 input
-beyond the size handled (or out of memory).
+beyond the size handled (out of memory, or an output integer longer than
+`sys.get_int_max_str_digits()` digits, included).
 
 Variety data is checked when the variety is constructed; structural errors
 exit 2.  With --method formula no Smith form presents the class group, but
 the compulsory torsion is still cross-checked through one.
 
-The environment variable TRICL_MAX_BLOCK (default 16) caps the number of
-relations and the block sizes to guard against accidentally huge inputs.
+`variety.MAX_BLOCK` (16) caps the number of relations and the block sizes
+to guard against accidentally huge inputs.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .classgroup import (
     ClassGroup,
@@ -64,10 +65,11 @@ from .exactlinalg import IntMatrix
 from .selftest import run_selftest
 from .type1 import Type1Variety, adjust_type1, class_group_type1, lift_to_type2
 from .variety import (
-    MAX_N_PRIME,
+    MAX_BLOCK,
     TrinomialVariety,
     adjust,
     block_invariants,
+    check_size,
     dimension,
     rationality_class,
     render_relations,
@@ -80,29 +82,19 @@ EXIT_NOT_ADMITTED = 4
 EXIT_INTERNAL_MISMATCH = 5
 EXIT_RESOURCE_LIMIT = 6
 
-DEFAULT_MAX_BLOCK = 16
-
 
 class SpecError(ValueError):
     """Malformed input file; carries human-readable field context."""
 
 
-def _max_block() -> int:
-    raw = os.environ.get("TRICL_MAX_BLOCK", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_BLOCK
-    except ValueError:
-        raise SpecError(f"TRICL_MAX_BLOCK is not an integer: {raw!r}")
-
-
+@dataclass(frozen=True)
 class VarietySpec:
     """Parsed and size-checked content of one input file."""
 
-    def __init__(self, kind: str, blocks, m: int, theta):
-        self.kind = kind
-        self.blocks = blocks
-        self.m = m
-        self.theta = theta
+    kind: str
+    blocks: list[tuple[int, ...]]
+    m: int
+    theta: Optional[tuple[str, ...]]
 
     def to_variety(self) -> Union[TrinomialVariety, Type1Variety]:
         if self.kind == "trinomial":
@@ -158,11 +150,10 @@ def parse_spec(text: str) -> VarietySpec:
                 except (ValueError, ZeroDivisionError):
                     raise SpecError(f"theta[{i}] is neither 'generic' nor a rational: {t!r}")
 
-    cap = _max_block()
-    if len(blocks) - 1 > cap:
-        raise SpecError(f"{len(blocks)} blocks exceed TRICL_MAX_BLOCK={cap}")
-    if any(len(b) > cap for b in blocks):
-        raise SpecError(f"a block exceeds TRICL_MAX_BLOCK={cap} variables")
+    if len(blocks) - 1 > MAX_BLOCK:
+        raise SpecError(f"{len(blocks)} blocks, more than MAX_BLOCK + 1 = {MAX_BLOCK + 1}")
+    if any(len(b) > MAX_BLOCK for b in blocks):
+        raise SpecError(f"a block has more than MAX_BLOCK = {MAX_BLOCK} variables")
 
     return VarietySpec(kind, [tuple(b) for b in blocks], m, tuple(theta) if theta else None)
 
@@ -173,7 +164,7 @@ def group_json(group: ClassGroup) -> dict:
     return {
         "finitely_generated": True,
         "rank": group.rank,
-        "invariant_factors": list(group.invariant_factors),
+        "invariant_factors": _printable(list(group.invariant_factors)),
         "pretty": str(group),
     }
 
@@ -234,15 +225,14 @@ def _class_group_json(adjusted: TrinomialVariety, method: GroupMethod) -> dict:
 
 
 def _chain_json(chain: IterationChain) -> dict:
-    steps = []
-    for step in chain.steps:
-        steps.append(
-            {
-                **_variety_json(step.variety),
-                "class_group": group_json(step.class_group),
-                "basic_platonic_triple": _triple_json(step.triple),
-            }
-        )
+    steps = [
+        {
+            **_variety_json(step.variety),
+            "class_group": group_json(step.class_group),
+            "basic_platonic_triple": _triple_json(step.triple),
+        }
+        for step in chain.steps
+    ]
     return {"admitted": True, "steps": steps, "patterns": list(chain.patterns)}
 
 
@@ -304,12 +294,8 @@ def _run_single(command: str, spec: VarietySpec, method: GroupMethod) -> dict:
         out["valid"] = True
         return out
 
-    if command == "adjust":
-        if spec.kind == "type1":
-            out["adjusted"] = _variety_json(adjust_type1(spec.to_variety()))
-            return out
-        adjusted, record = adjust(spec.to_variety())
-        out["adjusted"] = _adjusted_json(adjusted, record)
+    if command == "adjust" and spec.kind == "type1":
+        out["adjusted"] = _variety_json(adjust_type1(spec.to_variety()))
         return out
 
     if command == "type1-classgroup":
@@ -325,9 +311,10 @@ def _run_single(command: str, spec: VarietySpec, method: GroupMethod) -> dict:
     _require_kind(spec, "trinomial")
     adjusted, record = adjust(spec.to_variety())
 
-    if command == "invariants":
+    if command in ("adjust", "invariants"):
         out["adjusted"] = _adjusted_json(adjusted, record)
-        out["invariants"] = _invariants_json(adjusted)
+        if command == "invariants":
+            out["invariants"] = _invariants_json(adjusted)
         return out
 
     if command == "classgroup":
@@ -340,10 +327,7 @@ def _run_single(command: str, spec: VarietySpec, method: GroupMethod) -> dict:
 
     if command == "coxring":
         # P1 is written densely, one column per variable.
-        if adjusted.n + adjusted.m > MAX_N_PRIME:
-            raise ResourceLimitError(
-                f"n + m = {adjusted.n + adjusted.m} P1 columns, over the {MAX_N_PRIME} handled"
-            )
+        check_size("n + m", adjusted.n + adjusted.m, "P1 columns")
         if not rationality_class(adjusted).is_rational:
             raise NotRationalError("the total coordinate space needs a rational variety")
         cox = total_coordinate_space(adjusted)
@@ -402,38 +386,32 @@ def _exit_code_for(exc: Exception) -> int:
     return EXIT_INTERNAL_MISMATCH
 
 
-def _render_text(data, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    lines: list[str] = []
+def _printable(data):
+    """`data`, checked to hold no integer longer than the interpreter prints."""
+    limit = sys.get_int_max_str_digits()
+    for value in data.values() if isinstance(data, dict) else data:
+        if isinstance(value, (dict, list)):
+            _printable(value)
+        # At most 3 limit bits is below 8^limit, so printable; a limit of 0 is none.
+        elif isinstance(value, int) and 0 < 3 * limit < value.bit_length():
+            if abs(value) >= 10**limit:
+                raise ResourceLimitError(f"an output integer has more than {limit} digits")
+    return data
+
+
+def _render_text(data, pad: str = "") -> Iterator[str]:
+    # Strings and integers go as they are (bool is not `int` here), the other
+    # scalars and empty containers as JSON spells them.
     if isinstance(data, dict):
-        for key, value in data.items():
-            if isinstance(value, (dict, list)) and value:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_scalar_text(value)}")
-    elif isinstance(data, list):
-        for value in data:
-            if isinstance(value, (dict, list)) and value:
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar_text(value)}")
+        items = ((f"{pad}{key}:", value) for key, value in data.items())
     else:
-        lines.append(f"{pad}{_scalar_text(data)}")
-    return lines
-
-
-def _scalar_text(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, dict):
-        return "{}"
-    if isinstance(value, list):
-        return "[]"
-    return str(value)
+        items = ((f"{pad}-", value) for value in data)
+    for head, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield head
+            yield from _render_text(value, pad + "  ")
+        else:
+            yield f"{head} {value if type(value) in (str, int) else json.dumps(value)}"
 
 
 def _collect_paths(arguments: list[str]) -> list[Path]:
@@ -448,10 +426,12 @@ def _collect_paths(arguments: list[str]) -> list[Path]:
 
 
 def _emit(report: dict, fmt: str, stream) -> None:
-    if fmt == "json":
-        stream.write(json.dumps(report, sort_keys=True) + "\n")
-    else:
-        stream.write("\n".join(_render_text(report)) + "\n")
+    try:
+        text = json.dumps(report, sort_keys=True) if fmt == "json" else "\n".join(_render_text(report))
+    except ValueError:  # an integer too long to print is a size limit, not a bug
+        _printable(report)
+        raise
+    stream.write(text + "\n")
 
 
 def _run_selftest(fmt: str, stream) -> int:
@@ -459,13 +439,7 @@ def _run_selftest(fmt: str, stream) -> int:
     failures = 0
     for result in results:
         if fmt == "json":
-            stream.write(
-                json.dumps(
-                    {"case": result.name, "ok": result.ok, "detail": result.detail},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            _emit({"case": result.name, "ok": result.ok, "detail": result.detail}, fmt, stream)
         else:
             status = "ok  " if result.ok else "FAIL"
             stream.write(f"{status} {result.name}: {result.detail}\n")

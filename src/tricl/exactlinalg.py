@@ -34,9 +34,9 @@ The exact stage takes its pivots from a heap of columns keyed by Markowitz
 (fill-in) cost and re-keyed only where a pivot changed something (Dumas,
 Saunders and Villard, J. Symbolic Comput. 32, 2001).  It leaves at most a
 few dozen rows, so the Bareiss and mod-D stages scan them for each pivot.
-The three elimination stages and `hermite_basis` keep their rows in
-`_Rows`, whose column index finds the rows a pivot touches, so the work
-follows the nonzeros of the sparse matrices, not their cells.
+The three elimination stages, `hermite_basis` and the saturation test keep
+their rows in `_Rows`, whose column index finds the rows a pivot touches,
+so the work follows the nonzeros of the sparse matrices, not their cells.
 """
 
 from __future__ import annotations
@@ -599,44 +599,29 @@ def hermite_basis(matrix: IntMatrix) -> IntMatrix:
     return IntMatrix.from_sparse(basis.rows, matrix.cols)
 
 
-def _coordinates(basis: Sequence[SparseRow], leads: dict, vector: SparseRow) -> Optional[dict]:
-    """{row: coordinate} of `vector` over Hermite `basis` rows, whose
-    leading columns `leads` maps to their index; None outside the lattice."""
-    residual = dict(vector)
-    columns = sorted(residual)
-    coords = {}
-    while columns:
-        j = heapq.heappop(columns)
-        if not (x := residual.pop(j, 0)):
-            continue
-        i = leads.get(j)
-        if i is None or x % basis[i][j]:
-            return None
-        q = coords[i] = x // basis[i][j]
-        for k, y in basis[i].items():
-            if k != j:
-                if k not in residual:
-                    heapq.heappush(columns, k)
-                residual[k] = residual.get(k, 0) - q * y
-    return coords
-
-
 def is_saturated_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:
     """True iff rowlattice(sub) lies in rowlattice(sup) with torsion-free quotient.
 
-    A lattice basis of the sublattice is expressed integrally in a basis of
-    the superlattice; saturation means all Smith invariant factors of that
-    expression matrix equal 1.  Containment failure returns False rather than
-    raising.  The zero lattice is saturated in anything.
+    The rows of `sub` (no basis needed) are expressed integrally in the
+    Hermite basis of the superlattice; saturation means all Smith invariant
+    factors of those coordinate rows equal 1.  Containment failure returns
+    False rather than raising.  The zero lattice is saturated in anything.
     """
     if sub.cols != sup.cols:
         raise ValueError("lattices live in different ambient spaces")
-    sup_basis = hermite_basis(sup)._sparse
-    leads = {min(row): i for i, row in enumerate(sup_basis)}
-    expression = [_coordinates(sup_basis, leads, row) for row in hermite_basis(sub)._sparse]
-    if None in expression:
+    basis = hermite_basis(sup)._sparse
+    work = _Rows(dict(row) for row in sub._sparse)
+    expression: list[SparseRow] = [{} for _ in work.rows]
+    # In echelon order: a basis row changes no column left of its pivot, so
+    # each pivot column is reduced once, in every row at the same time.
+    for i, row in enumerate(basis):
+        j = min(row)
+        for t in list(work.where.get(j, ())):
+            expression[t][i] = q = work.rows[t][j] // row[j]
+            work.subtract(t, q, row)
+    if any(work.rows):  # a remainder is left: sub is not inside sup
         return False
-    data = smith_invariants(IntMatrix.from_sparse(expression, len(sup_basis)))
+    data = smith_invariants(IntMatrix.from_sparse(expression, len(basis)))
     return all(f == 1 for f in data.invariant_factors)
 
 

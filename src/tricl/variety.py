@@ -388,17 +388,28 @@ def dimension(variety: TrinomialVariety) -> int:
     return variety.n + variety.m - variety.relation_count
 
 
+# The most relations, and the most variables in one block, of an input file:
+# a guard against accidentally huge input.  MAX_N_PRIME was checked within it.
+MAX_BLOCK = 16
+
 # The most generators n' = sum c(i) n_i of a total coordinate space that is
 # handled.  The class group has up to n' factors and its presentations n'
 # columns, so this bounds time and memory.
 MAX_N_PRIME = 1 << 15
 
 
+def check_size(name: str, count: int, unit: str) -> None:
+    """Raise ResourceLimitError if `count` exceeds MAX_N_PRIME; past 64 bits the
+    message gives a power of two below it, never an integer too long to print."""
+    if count > MAX_N_PRIME:
+        shown = f"= {count}" if count.bit_length() <= 64 else f">= 2^{count.bit_length() - 1}"
+        raise ResourceLimitError(f"{name} {shown} {unit}, over the {MAX_N_PRIME} handled")
+
+
 def _checked_n_prime(variety: TrinomialVariety) -> None:
-    """Raise ResourceLimitError if n' of an adjusted rational variety exceeds MAX_N_PRIME."""
+    """`check_size` on n' of an adjusted rational variety."""
     n_prime = sum(map(operator.mul, variety._counts, map(len, variety.blocks)))
-    if n_prime > MAX_N_PRIME:
-        raise ResourceLimitError(f"n' = {n_prime} TCS generators, over the {MAX_N_PRIME} handled")
+    check_size("n'", n_prime, "TCS generators")
 
 
 class NotFinitelyGenerated:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -91,10 +90,7 @@ def run(name: str, spec: dict, command: tuple[str, ...], workdir: Path) -> dict:
 
 
 def records() -> list[str]:
-    """Every golden record as one JSON line, in file order.
-
-    Run with TRICL_MAX_BLOCK unset: the records use the default cap.
-    """
+    """Every golden record as one JSON line, in file order."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, spec in inputs():
@@ -104,7 +100,6 @@ def records() -> list[str]:
 
 
 def main() -> int:
-    os.environ.pop("TRICL_MAX_BLOCK", None)
     lines = records()
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -8,7 +8,6 @@ import pytest
 
 from tricl import exactlinalg
 from tricl.cli import (
-    DEFAULT_MAX_BLOCK,
     EXIT_INVALID_INPUT,
     EXIT_NOT_ADMITTED,
     EXIT_NOT_FINITELY_GENERATED,
@@ -19,7 +18,7 @@ from tricl.cli import (
     main,
     parse_spec,
 )
-from tricl.variety import MAX_N_PRIME
+from tricl.variety import MAX_BLOCK, MAX_N_PRIME
 
 
 def write_spec(tmp_path, name, payload):
@@ -69,14 +68,15 @@ class TestParseSpec:
         with pytest.raises(SpecError, match="theta"):
             parse_spec('{"kind":"trinomial","blocks":[[2],[2],[2],[3]],"theta":["x"]}')
 
-    def test_max_block_cap(self, monkeypatch):
-        monkeypatch.setenv("TRICL_MAX_BLOCK", "2")
-        with pytest.raises(SpecError, match="TRICL_MAX_BLOCK"):
-            parse_spec('{"kind":"trinomial","blocks":[[2],[2],[2],[2]]}')
-        with pytest.raises(SpecError, match="TRICL_MAX_BLOCK"):
-            parse_spec('{"kind":"trinomial","blocks":[[2,2,2]]}')
-        monkeypatch.setenv("TRICL_MAX_BLOCK", "16")
-        parse_spec('{"kind":"trinomial","blocks":[[2,2,2]]}')
+    def test_max_block_cap(self):
+        def spec(blocks):
+            return json.dumps({"kind": "trinomial", "blocks": blocks})
+
+        with pytest.raises(SpecError, match="MAX_BLOCK"):
+            parse_spec(spec([[2]] * (MAX_BLOCK + 2)))
+        with pytest.raises(SpecError, match="MAX_BLOCK"):
+            parse_spec(spec([[2] * (MAX_BLOCK + 1)]))
+        parse_spec(spec([[2] * MAX_BLOCK] * (MAX_BLOCK + 1)))
 
 
 class TestSubcommands:
@@ -327,14 +327,14 @@ class TestBatch:
         assert "2/2 inputs processed" in out
 
 
-# Case III with single-variable blocks, from 3 blocks up to the 17 that the
-# default TRICL_MAX_BLOCK admits, the six-block case II tail, and case III at
+# Case III with single-variable blocks, from 3 blocks up to the 17 that
+# MAX_BLOCK admits, the six-block case II tail, and case III at
 # 17 blocks of 16 variables, whose Bareiss and mod-D stages get 60 x 704
 # rows, the most of any in-cap input tried.
 CASE_III_PRIMES = (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 CAP_LADDER = [
     [[2], [4], [10]] + [[p] for p in CASE_III_PRIMES[: k - 3]]
-    for k in range(3, DEFAULT_MAX_BLOCK + 2)
+    for k in range(3, MAX_BLOCK + 2)
 ] + [
     [[16], [16], [3], [5], [7], [11]],
     [[2] * 16, [4] * 16, [10] * 16] + [[p] * 16 for p in CASE_III_PRIMES],
@@ -416,3 +416,54 @@ class TestCapLadder:
         code, out, err = run_cli(capsys, "--format", "json", "coxring", path)
         assert code == EXIT_OK, err
         assert [len(row) for row in json.loads(out)["coxring"]["p1"]] == [MAX_N_PRIME] * 2
+
+
+# The longest integer literal the interpreter reads, 4,300 nines by default:
+# valid input, yet a count or an output integer built from it can be too long
+# to print.  Such input is beyond the size handled (exit 6), never a bug (5).
+NINES = int("9" * sys.get_int_max_str_digits())
+WIDE_CASE_II = [[NINES], [NINES], [2] * 16]  # n' = 2 + 16 NINES
+E6_BLOCKS = [[4], [2], [3, 3]]
+# Case III whose factor L0 L1 L2 / 4 has about 5,460 digits.
+HUGE_CASE_III = [[2 * 3**4000], [2 * 5**2666], [2 * 7**2000]]
+
+
+class TestIntegersTooLongToPrint:
+    @pytest.mark.parametrize(
+        "command, spec, message",
+        [
+            ("report", {"blocks": WIDE_CASE_II}, "n' >= 2^"),
+            ("classgroup", {"blocks": WIDE_CASE_II}, "n' >= 2^"),
+            ("coxring", {"blocks": WIDE_CASE_II}, "n' >= 2^"),
+            ("coxring", {"blocks": E6_BLOCKS, "m": NINES}, "n + m >= 2^"),
+            ("report", {"blocks": E6_BLOCKS, "m": NINES}, "digits"),
+            ("invariants", {"blocks": E6_BLOCKS, "m": NINES}, "digits"),
+            ("classgroup", {"blocks": HUGE_CASE_III}, "digits"),
+        ],
+        ids=[
+            "report-wide-case-ii",
+            "classgroup-wide-case-ii",
+            "coxring-wide-case-ii",
+            "coxring-huge-m",
+            "report-huge-m",
+            "invariants-huge-m",
+            "classgroup-huge-case-iii",
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_exits_6(self, tmp_path, capsys, command, spec, message, fmt):
+        path = write_spec(tmp_path, "in.json", {"kind": "trinomial", **spec})
+        method = ["--method", "formula"] if command in ("classgroup", "report") else []
+        code, out, err = run_cli(capsys, "--format", fmt, command, *method, path)
+        assert code == EXIT_RESOURCE_LIMIT, err
+        assert out == ""
+        assert "ResourceLimitError" in err and message in err
+
+    def test_the_longest_printable_integer_is_written(self, tmp_path, capsys):
+        # dimension = m + 3 = 10^(limit - 1) + 2 has exactly the digits printed.
+        m = NINES // 10
+        spec = {"kind": "trinomial", "blocks": E6_BLOCKS, "m": m}
+        path = write_spec(tmp_path, "in.json", spec)
+        code, out, err = run_cli(capsys, "--format", "json", "invariants", path)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["invariants"]["dimension"] == m + 3

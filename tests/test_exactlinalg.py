@@ -415,6 +415,8 @@ class TestLattices:
 
     def test_non_sublattice_returns_false(self):
         assert not is_saturated_sublattice(identity(2), M([[2, 0], [0, 2]]))
+        assert not is_saturated_sublattice(M([[1, 1]]), M([[2, 0], [0, 1]]))
+        assert not is_saturated_sublattice(M([[0, 1]]), M([[1, 0]]))  # outside the span
 
     def test_zero_lattice_is_saturated(self):
         assert is_saturated_sublattice(M([], cols=2), identity(2))
@@ -570,7 +572,6 @@ class TestExactStageAgainstReference:
             _assert_same_exact_stage(_random_sparse_rows(rng))
 
     def test_inputs_of_the_golden_corpus(self, monkeypatch):
-        monkeypatch.delenv("TRICL_MAX_BLOCK", raising=False)
         inputs = _recorded_exact_inputs(monkeypatch, make_golden.records)
         assert len(inputs) > 100
         for rows in inputs:

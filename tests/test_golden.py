@@ -8,8 +8,7 @@ inputs fails here.
 import make_golden
 
 
-def test_cli_output_matches_golden(monkeypatch):
-    monkeypatch.delenv("TRICL_MAX_BLOCK", raising=False)
+def test_cli_output_matches_golden():
     expected = make_golden.GOLDEN.read_text(encoding="utf-8").splitlines()
     actual = make_golden.records()
     assert len(actual) == len(expected)

@@ -3,7 +3,15 @@
 import itertools
 import random
 
-from tricl.classgroup import NOT_FINITELY_GENERATED, class_group_formula
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tricl.classgroup import (
+    NOT_FINITELY_GENERATED,
+    class_group_formula,
+    class_group_snf,
+    relation_degree_order,
+)
 from tricl.coxring import (
     duval_diagram,
     is_hyperplatonic,
@@ -18,10 +26,12 @@ from tricl.type1 import (
     lift_to_type2,
 )
 from tricl.variety import (
+    MAX_BLOCK,
     RationalityKind,
     TrinomialVariety,
     adjust,
     block_invariants,
+    dimension,
     is_adjusted,
     rationality_class,
 )
@@ -162,3 +172,64 @@ class TestType1Transfer:
                     own.rank, own.invariant_factors + (2,)
                 )
         assert seen_fg > 50 and seen_nfg > 50
+
+
+# Odd primes for the block gcds that must be pairwise coprime: enough for the
+# 14 tail blocks of 17 after a case-II c <= 64 has taken its odd factors.
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+def _block(draw, gcd):
+    """1-4 exponents with gcd exactly `gcd`; a gcd-1 block gets two, so that
+    `adjust` never eliminates it."""
+    size = draw(st.integers(2 if gcd == 1 else 1, 4))
+    return [gcd] + [gcd * draw(st.integers(1, 4)) for _ in range(size - 1)]
+
+
+@st.composite
+def adjusted_rational(draw):
+    """Adjusted rational data with 3-17 blocks, case II (c <= 64) or case III.
+
+    Case II: L0 and L1 share exactly c, and every other pair of block gcds
+    is coprime.  Case III: L0, L1, L2 are 2 times pairwise coprime odd
+    numbers, and the tail gcds are coprime to everything.
+    """
+    cap = MAX_BLOCK + 1  # the most blocks an input file may give
+    count = draw(st.one_of(st.just(cap), st.integers(3, cap)))
+    if draw(st.booleans()):
+        primes = list(draw(st.permutations(ODD_PRIMES)))
+        leading = [2 * draw(st.sampled_from((1, primes.pop()))) for _ in range(3)]
+    else:
+        c = draw(st.integers(2, 64))
+        primes = list(draw(st.permutations([p for p in ODD_PRIMES if c % p])))
+        leading = [c * draw(st.sampled_from((1, primes.pop()))) for _ in range(2)]
+        leading.append(draw(st.sampled_from((1, primes.pop()))))
+    tail = [draw(st.sampled_from((1, primes.pop()))) for _ in range(count - 3)]
+    blocks = [_block(draw, g) for g in leading + tail]
+    variety, _ = adjust(TrinomialVariety(blocks, draw(st.integers(0, 2))))
+    assert len(variety.blocks) == count and rationality_class(variety).is_rational
+    return variety
+
+
+WIDE_INPUT = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+class TestWideRationalInput:
+    """Properties on wide adjusted rational input, up to the block cap."""
+
+    @WIDE_INPUT
+    @given(adjusted_rational())
+    def test_formula_equals_snf(self, variety):
+        assert class_group_formula(variety) == class_group_snf(variety)
+
+    @WIDE_INPUT
+    @given(adjusted_rational())
+    def test_rank_is_the_dimension_difference(self, variety):
+        tcs = total_coordinate_space(variety).tcs
+        assert class_group_formula(variety).rank == dimension(tcs) - dimension(variety)
+
+    @WIDE_INPUT
+    @given(adjusted_rational())
+    def test_relation_degree_order(self, variety):
+        expected = 1 if rationality_class(variety).kind is RationalityKind.CASE_II else 2
+        assert relation_degree_order(variety) == expected

@@ -16,7 +16,6 @@ from oracles import (
     counts_reference,
     rationality_reference,
 )
-from tricl.cli import DEFAULT_MAX_BLOCK
 from tricl.errors import (
     DuplicateThetaError,
     EmptyBlockError,
@@ -27,6 +26,7 @@ from tricl.errors import (
 from tricl.exactlinalg import IntMatrix
 from tricl.type1 import Type1Variety
 from tricl.variety import (
+    MAX_BLOCK,
     RationalityKind,
     TrinomialVariety,
     adjust,
@@ -239,8 +239,8 @@ def criterion_9_multisets():
 
 def seeded_inputs_up_to_the_block_cap():
     rng = random.Random(20261018)
-    # The CLI admits len(blocks) - 1 <= DEFAULT_MAX_BLOCK, so up to 17 blocks.
-    for count in range(3, DEFAULT_MAX_BLOCK + 2):
+    # The CLI admits len(blocks) - 1 <= MAX_BLOCK, so up to 17 blocks.
+    for count in range(3, MAX_BLOCK + 2):
         for _ in range(100):
             yield _seeded_blocks(rng, count)
 
