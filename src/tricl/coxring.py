@@ -27,6 +27,7 @@ from .variety import (
     TrinomialVariety,
     _block_offsets,
     _checked_n_prime,
+    _derived,
     _exponent_rows,
     _monomial,
     adjust,
@@ -128,7 +129,7 @@ def _tcs_parts(variety: TrinomialVariety) -> tuple:
     offsets = _block_offsets(variety.blocks)
     vectors = [tuple(gcds[o : o + len(block)]) for o, block in zip(offsets, variety.blocks)]
     flat = tuple(vector for vector, k in zip(vectors, counts) for _ in range(k))
-    return p1, counts, TrinomialVariety(flat, variety.m, None)
+    return p1, counts, _derived(TrinomialVariety, flat, variety.m)
 
 
 _ADE_BY_TRIPLE = {(5, 3, 2): "E8", (4, 3, 2): "E6", (3, 3, 2): "D4"}
@@ -296,7 +297,11 @@ def iterate_cox_rings(variety: TrinomialVariety) -> IterationChain:
 
 
 def duval_surface(triple: PlatonicTriple) -> TrinomialVariety:
-    """The surface V(T1^a + T2^b + T3^c) as a trinomial variety."""
+    """The surface V(T1^a + T2^b + T3^c) as a trinomial variety.
+
+    Checked at construction: a caller can build a `PlatonicTriple` without
+    `PlatonicTriple.classify`, so its fields are outside data.
+    """
     return TrinomialVariety(((triple.a,), (triple.b,), (triple.c,)), 0)
 
 

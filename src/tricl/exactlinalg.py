@@ -472,7 +472,10 @@ def _chain(factors: Iterable[int]) -> tuple[int, ...]:
     Factors equal to 1 are dropped.  Sorted factors that divide each other
     are the chain.  Otherwise each factor is a product of powers b^e of a
     coprime base of the distinct factors, and the k-th largest invariant
-    factor is the product over b of b to its k-th largest exponent.
+    factor is the product over b of b to its k-th largest exponent.  When
+    the distinct factors are pairwise coprime they are that base, each with
+    exponent 1, so the k-th largest is the product of those occurring more
+    than k times.
     """
     fs = sorted(f for f in factors if f > 1)
     if not any(map(operator.mod, fs[1:], fs)):
@@ -481,6 +484,11 @@ def _chain(factors: Iterable[int]) -> tuple[int, ...]:
     for f in fs:
         counts[f] = counts.get(f, 0) + 1
     largest = [1] * len(fs)  # largest[k]: the k-th largest invariant factor
+    if math.lcm(*counts) == math.prod(counts):
+        for f, m in counts.items():
+            for k in range(m):
+                largest[k] *= f
+        return tuple(f for f in reversed(largest) if f > 1)
     for b in _coprime_base(counts):
         exponents = []
         for f, m in counts.items():

@@ -17,7 +17,7 @@ from typing import Optional
 from .classgroup import NOT_FINITELY_GENERATED, ClassGroup, _free_rank
 from .errors import NotAdjustedError
 from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup
-from .variety import TrinomialVariety, _check_fields, _coerce_fields
+from .variety import TrinomialVariety, _analysis, _check_fields, _coerce_fields, _derived
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,11 @@ class Type1Variety:
         return len(self.blocks) < 2
 
     def block_gcds(self) -> tuple[int, ...]:
-        return tuple(math.gcd(*block) for block in self.blocks)
+        return self._gcds
+
+    @_analysis
+    def _gcds(self) -> tuple[int, ...]:
+        return tuple([math.gcd(*block) for block in self.blocks])
 
 
 def adjust_type1(variety: Type1Variety) -> Type1Variety:
@@ -61,12 +65,17 @@ def adjust_type1(variety: Type1Variety) -> Type1Variety:
     deleted block removes one relation; with fewer than two blocks left the
     data is degenerate.  Coefficients are reset to generic placeholders.
     """
-    work = [(index, block) for index, block in enumerate(variety.blocks)]
-    while len(work) >= 2 and any(block == (1,) for _, block in work):
-        position = next(i for i, (_, block) in enumerate(work) if block == (1,))
-        work.pop(position)
-    work.sort(key=lambda item: (-math.gcd(*item[1]), -len(item[1]), item[0]))
-    return Type1Variety(tuple(block for _, block in work), variety.m, None)
+    blocks, gcds = variety.blocks, variety._gcds
+    order = list(range(len(blocks)))
+    while len(order) >= 2 and any(blocks[i] == (1,) for i in order):
+        order.remove(next(i for i in order if blocks[i] == (1,)))
+    order.sort(key=lambda i: (-gcds[i], -len(blocks[i]), i))
+    return _derived(
+        Type1Variety,
+        tuple([blocks[i] for i in order]),
+        variety.m,
+        _gcds=tuple([gcds[i] for i in order]),
+    )
 
 
 def is_adjusted_type1(variety: Type1Variety) -> bool:
@@ -130,6 +139,6 @@ def lift_to_type2(variety: Type1Variety) -> TrinomialVariety:
     finitely generated cases transfer.  Coefficients are generic.
     """
     require_adjusted_type1(variety)
-    gcds = variety.block_gcds()
+    gcds = variety._gcds
     ell = math.lcm(*gcds) if gcds else 1
-    return TrinomialVariety(((ell,),) + variety.blocks, variety.m, None)
+    return _derived(TrinomialVariety, ((ell,),) + variety.blocks, variety.m, _gcds=(ell,) + gcds)

@@ -11,13 +11,20 @@ downstream depend only on the exponent data, so coefficients are carried as
 exact rationals or generic placeholders and never enter any group
 computation.
 
-Variety values are checked when they are constructed: invalid data raises
-an `InvalidVarietyError` subclass there, so every existing value is valid.
+Variety values built from outside data are checked when they are
+constructed: invalid data raises an `InvalidVarietyError` subclass there, so
+every existing value is valid.  Values the library derives from checked
+values (the adjusted order, a total coordinate space, a Type 1 adjustment
+or lift) are built by `_derived`, which skips the checks:
+their parts are tuples of positive `int` exponents taken from a checked
+value, an `int` m and no coefficients.
 
 Analyse once.  A value caches its block gcds L_i, whether it is adjusted,
 its rationality class and its component counts c(i), each computed on first
-use and kept only as long as the value.  `adjust` reuses the input's gcds
-and hands its result the gcds in adjusted order and the adjusted flag; input
+use and kept only as long as the value.  The cache takes no lock: two
+threads may both compute a field, but it is a function of the frozen fields
+alone, so both store equal values.  `adjust` reuses the input's gcds and
+hands its result the gcds in adjusted order and the adjusted flag; input
 already in adjusted order comes back as the same object.
 """
 
@@ -29,7 +36,6 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -115,6 +121,34 @@ def _check_fields(value, expected_theta: int, fixed_first: bool = False) -> None
         raise DuplicateThetaError("coefficients must be pairwise different")
 
 
+class _analysis:
+    """`functools.cached_property` without the lock it takes before Python
+    3.12: the first read stores the result in the instance dict, where every
+    later read finds it before the descriptor."""
+
+    def __init__(self, function):
+        self.function = function
+        self.name = function.__name__
+
+    def __get__(self, value, owner=None):
+        if value is None:
+            return self
+        result = value.__dict__[self.name] = self.function(value)
+        return result
+
+
+def _derived(cls, blocks: tuple, m: int, **analysis):
+    """A `cls` value from parts that are already checked, without the checks.
+
+    `blocks` is a tuple of tuples of positive ints and `m` a nonnegative
+    int, both taken from checked values; theta is None.  `analysis` holds
+    cached fields the caller already knows, such as ``_gcds``.
+    """
+    value = object.__new__(cls)
+    value.__dict__.update(blocks=blocks, m=m, theta=None, **analysis)
+    return value
+
+
 class RationalityKind(enum.Enum):
     FACTORIAL = "factorial"
     CASE_II = "case_ii"
@@ -138,6 +172,11 @@ class RationalityClass:
         return self.kind is RationalityKind.FACTORIAL
 
 
+_FACTORIAL = RationalityClass(RationalityKind.FACTORIAL)
+_CASE_III = RationalityClass(RationalityKind.CASE_III)
+_NON_RATIONAL = RationalityClass(RationalityKind.NON_RATIONAL)
+
+
 @dataclass(frozen=True)
 class TrinomialVariety:
     """Exponent blocks l_0..l_r, free-variable count m, optional coefficients.
@@ -149,7 +188,7 @@ class TrinomialVariety:
     NonPositiveExponentError, DuplicateThetaError or InvalidVarietyError on
     invalid data.
 
-    The underscored cached properties hold the analysis of the value.  The
+    The underscored cached fields hold the analysis of the value.  The
     rationality class and component counts are meaningful only for adjusted
     data; `rationality_class` and `component_counts` check that first.
     """
@@ -184,11 +223,11 @@ class TrinomialVariety:
     def block_gcds(self) -> tuple[int, ...]:
         return self._gcds
 
-    @cached_property
+    @_analysis
     def _gcds(self) -> tuple[int, ...]:
         return tuple([math.gcd(*block) for block in self.blocks])
 
-    @cached_property
+    @_analysis
     def _adjusted(self) -> bool:
         if len(self.blocks) < 3:
             return True
@@ -206,30 +245,30 @@ class TrinomialVariety:
                     return False
         return True
 
-    @cached_property
+    @_analysis
     def _rationality(self) -> RationalityClass:
         if len(self.blocks) < 3:
-            return RationalityClass(RationalityKind.FACTORIAL)
+            return _FACTORIAL
         gcds = self._gcds
         # Every pair (i, j) with j >= 3 must be coprime: L_j against the
         # product of the earlier block gcds.
         earlier = gcds[0] * gcds[1] * gcds[2]
         for gj in gcds[3:]:
             if math.gcd(earlier, gj) != 1:
-                return RationalityClass(RationalityKind.NON_RATIONAL)
+                return _NON_RATIONAL
             earlier *= gj
         g01 = math.gcd(gcds[0], gcds[1])
         g02 = math.gcd(gcds[0], gcds[2])
         g12 = math.gcd(gcds[1], gcds[2])
         if g02 == g12 == 1:
             if g01 == 1:
-                return RationalityClass(RationalityKind.FACTORIAL)
+                return _FACTORIAL
             return RationalityClass(RationalityKind.CASE_II, g01)
         if g01 == g02 == g12 == 2:
-            return RationalityClass(RationalityKind.CASE_III)
-        return RationalityClass(RationalityKind.NON_RATIONAL)
+            return _CASE_III
+        return _NON_RATIONAL
 
-    @cached_property
+    @_analysis
     def _counts(self) -> tuple[int, ...]:
         gcds = self._gcds
         l0, l1, l2 = gcds[0], gcds[1], gcds[2]
@@ -308,8 +347,12 @@ def adjust(variety: TrinomialVariety) -> tuple[TrinomialVariety, AdjustmentRecor
     if not eliminated and order == list(range(len(blocks))):
         adjusted = variety
     else:
-        adjusted = TrinomialVariety(tuple(blocks[i] for i in order), variety.m)
-        adjusted.__dict__["_gcds"] = tuple(gcds[i] for i in order)
+        adjusted = _derived(
+            TrinomialVariety,
+            tuple([blocks[i] for i in order]),
+            variety.m,
+            _gcds=tuple([gcds[i] for i in order]),
+        )
         if variety.theta is not None and any(isinstance(t, Fraction) for t in variety.theta):
             warnings.warn(
                 "adjustment rewires the relations; exact coefficients were reset "

@@ -19,7 +19,9 @@ from tricl.coxring import (
 )
 from tricl.errors import (
     FactorialInputError,
+    InvalidVarietyError,
     IterationNotAdmittedError,
+    NonPositiveExponentError,
     NotHyperplatonicError,
     NotRationalError,
 )
@@ -248,6 +250,12 @@ class TestDuvalSurfaces:
     def test_smooth_triple_degenerates(self):
         y = duval_surface(PlatonicTriple.classify((4, 3, 1)))
         assert adjust(y)[0].is_degenerate
+
+    def test_triple_built_without_classify_is_checked(self):
+        with pytest.raises(NonPositiveExponentError):
+            duval_surface(PlatonicTriple(0, 2, 2, "A"))
+        with pytest.raises(InvalidVarietyError, match="must be"):
+            duval_surface(PlatonicTriple(2.0, 2, 2, "A"))
 
 
 class TestDuvalDiagram:

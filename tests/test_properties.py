@@ -10,6 +10,7 @@ from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
     class_group_formula,
     class_group_snf,
+    compulsory_torsion,
     relation_degree_order,
 )
 from tricl.coxring import (
@@ -18,7 +19,7 @@ from tricl.coxring import (
     iterate_cox_rings,
     total_coordinate_space,
 )
-from tricl.exactlinalg import FgAbelianGroup
+from tricl.exactlinalg import FgAbelianGroup, cokernel
 from tricl.type1 import (
     Type1Variety,
     adjust_type1,
@@ -32,6 +33,7 @@ from tricl.variety import (
     adjust,
     block_invariants,
     dimension,
+    exponent_matrix,
     is_adjusted,
     rationality_class,
 )
@@ -233,3 +235,10 @@ class TestWideRationalInput:
     def test_relation_degree_order(self, variety):
         expected = 1 if rationality_class(variety).kind is RationalityKind.CASE_II else 2
         assert relation_degree_order(variety) == expected
+
+    @WIDE_INPUT
+    @given(adjusted_rational())
+    def test_compulsory_torsion_is_the_exponent_matrix_torsion(self, variety):
+        # compulsory_torsion raises OracleMismatchError when its two routes differ.
+        tcs = total_coordinate_space(variety).tcs
+        assert compulsory_torsion(variety) == cokernel(exponent_matrix(tcs)).torsion_part()

@@ -1,8 +1,11 @@
 """Tests for the variety data model, adjustment and gcd invariants."""
 
+import contextlib
 import itertools
 import math
 import random
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -10,21 +13,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import make_golden
+import tricl.coxring
+import tricl.type1
+import tricl.variety
 from oracles import (
     adjust_by_pair_search,
     adjusted_reference,
     counts_reference,
     rationality_reference,
 )
+from tricl.coxring import duval_diagram, is_hyperplatonic, iterate_cox_rings, total_coordinate_space
 from tricl.errors import (
     DuplicateThetaError,
     EmptyBlockError,
     InvalidVarietyError,
+    IterationNotAdmittedError,
     NonPositiveExponentError,
     NotAdjustedError,
 )
 from tricl.exactlinalg import IntMatrix
-from tricl.type1 import Type1Variety
+from tricl.type1 import Type1Variety, adjust_type1, lift_to_type2
 from tricl.variety import (
     MAX_BLOCK,
     RationalityKind,
@@ -262,21 +271,37 @@ class TestAdjustAgainstPairSearch:
             self.assert_matches(blocks)
 
 
+def analysis(value):
+    """Every cached analysis field of a variety value."""
+    if isinstance(value, Type1Variety):
+        return (value._gcds,)
+    counts = value._counts if len(value.blocks) >= 3 else None
+    return value._gcds, value._adjusted, value._rationality, counts
+
+
+def assert_same_as_checked(value, checked=None):
+    """`value` equals the checked construction of its data in every respect:
+    ==, hash, repr, field types and every analysis field."""
+    if checked is None:
+        checked = type(value)(value.blocks, value.m, value.theta)
+    assert value == checked and hash(value) == hash(checked), value
+    assert repr(value) == repr(checked)
+    assert type(value.blocks) is tuple and type(value.m) is int and value.theta is None
+    assert all(type(b) is tuple and all(type(e) is int for e in b) for b in value.blocks)
+    assert analysis(value) == analysis(checked), value
+
+
 class TestAnalysisAgainstReference:
     """The analysis a value carries equals the pair-by-pair references.
 
     It is checked on the raw input, on the value `adjust` returns (which
-    inherits the gcds and the adjusted flag) and on a value freshly built
-    from the adjusted data (which derives everything itself).
+    inherits the gcds and the adjusted flag, and skips the construction
+    checks) and on a value freshly built and checked from the adjusted data
+    (which derives everything itself); those two are the same value.
     """
 
     @staticmethod
-    def analysis(value):
-        counts = value._counts if len(value.blocks) >= 3 else None
-        return value._gcds, value._adjusted, value._rationality, counts
-
-    @classmethod
-    def assert_matches(cls, blocks):
+    def assert_matches(blocks):
         raw = V(blocks)
         assert raw._adjusted == adjusted_reference(raw.blocks), blocks
         assert raw._rationality == rationality_reference(raw.blocks), blocks
@@ -289,8 +314,9 @@ class TestAnalysisAgainstReference:
             counts_reference(adjusted.blocks) if len(adjusted.blocks) >= 3 else None,
         )
         assert adjusted_reference(adjusted.blocks), blocks
-        assert cls.analysis(adjusted) == expected, blocks
-        assert cls.analysis(fresh) == expected, blocks
+        assert analysis(adjusted) == expected, blocks
+        assert analysis(fresh) == expected, blocks
+        assert_same_as_checked(adjusted, fresh)
 
     def test_criterion_9_enumeration(self):
         for combo in criterion_9_multisets():
@@ -304,6 +330,97 @@ class TestAnalysisAgainstReference:
         adjusted, _ = adjust(V([[3], [4], [2]]))
         assert adjusted.__dict__["_gcds"] == (4, 2, 3)
         assert adjusted.__dict__["_adjusted"] is True
+
+
+def _recorded_derived(monkeypatch, run) -> list:
+    """Every value `_derived` builds while `run()` runs, at each module that
+    calls it."""
+    seen = []
+    original = tricl.variety._derived
+
+    def recording(*args, **analysis):
+        seen.append(original(*args, **analysis))
+        return seen[-1]
+
+    for module in (tricl.variety, tricl.coxring, tricl.type1):
+        monkeypatch.setattr(module, "_derived", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+# Type 1 data: every multiset of up to three criterion-9 blocks, plus input
+# out of order and with no blocks.
+TYPE1_BLOCK_LISTS = [
+    list(combo)
+    for count in (1, 2, 3)
+    for combo in itertools.combinations_with_replacement(BLOCK_CHOICES, count)
+] + [[(2,), (1,), (4, 2)], [(3,), (1,), (1,)], []]
+
+
+class TestDerivedValues:
+    """Values built from checked parts without the construction checks equal
+    the checked construction of the same data (`adjust` is covered above)."""
+
+    def test_total_coordinate_spaces_and_duval_diagrams_of_the_golden_corpus(self, monkeypatch):
+        def run():
+            for _, spec in make_golden.inputs():
+                variety = V(spec["blocks"], spec.get("m", 0))
+                adjusted = adjust(variety)[0]
+                if rationality_class(adjusted).is_rational:
+                    total_coordinate_space(adjusted)
+                    with contextlib.suppress(IterationNotAdmittedError):
+                        iterate_cox_rings(variety)
+                if is_hyperplatonic(adjusted) is not None:
+                    duval_diagram(variety)
+
+        values = _recorded_derived(monkeypatch, run)
+        assert len(values) > 100
+        for value in values:
+            assert_same_as_checked(value)
+
+    def test_type1_adjust_and_lift(self, monkeypatch):
+        def run():
+            for blocks in TYPE1_BLOCK_LISTS:
+                for m in (0, 2):
+                    lift_to_type2(adjust_type1(Type1Variety(blocks, m)))
+
+        values = _recorded_derived(monkeypatch, run)
+        assert len(values) == 4 * len(TYPE1_BLOCK_LISTS)
+        for value in values:
+            assert_same_as_checked(value)
+
+    def test_first_analysis_from_eight_threads(self):
+        """Eight threads take the first analysis of the same fresh values at
+        once; each sees the values a single thread computes."""
+        blocks_list = list(seeded_inputs_up_to_the_block_cap())[::5]
+
+        def fresh_values():
+            values = [V(blocks) for blocks in blocks_list]
+            values += [tricl.variety._derived(V, v.blocks, 0) for v in values]
+            return values + [Type1Variety(blocks) for blocks in blocks_list]
+
+        expected = [analysis(v) for v in fresh_values()]
+        values = fresh_values()
+        barrier = threading.Barrier(8)
+        seen = [None] * 8
+
+        def take(k):
+            barrier.wait()
+            seen[k] = [analysis(v) for v in values]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=take, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result == expected for result in seen)
 
 
 class TestIsAdjusted:
