@@ -63,7 +63,6 @@ from .coxring import (
     duval_surface,
     is_hyperplatonic,
     iterate_cox_rings,
-    p1_matrix,
     total_coordinate_space,
 )
 from .classgroup import (
@@ -78,13 +77,11 @@ from .classgroup import (
     class_group_report,
     class_group_snf,
     compulsory_torsion,
-    cyclic_subgroup_order,
     grading_matrix,
     isolated_singularity_report,
     n_tilde,
     predicates,
     rank_formula,
-    relation_degree_order,
 )
 from .type1 import (
     Type1Variety,

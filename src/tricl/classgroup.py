@@ -40,7 +40,6 @@ from .exactlinalg import (
     _relation_rows,
     canonical_group,
     cokernel,
-    element_order_in_cokernel,
 )
 from .variety import (
     NOT_FINITELY_GENERATED,
@@ -158,54 +157,6 @@ def _grading_rows(kind: RationalityClass, cox: CoxConstruction) -> IntMatrix:
 def class_group_snf(variety: TrinomialVariety) -> FgAbelianGroup:
     """Divisor class group as the cokernel of the grading matrix."""
     return cokernel(grading_matrix(variety))
-
-
-def _leading_block_vector(n_prime: int, exponents) -> list[int]:
-    """Vector of length n_prime supported on the (0, 1, j) columns.
-
-    Block 0, copy 1 occupies the first columns of the grading matrix.
-    """
-    return list(exponents) + [0] * (n_prime - len(exponents))
-
-
-def relation_degree_order(variety: TrinomialVariety) -> int:
-    """Order of the class of the leading relation monomial, 1 or 2.
-
-    The image of sum_j l_{0j,1} e_{0j,1} in the class group presentation is
-    trivial in case II and of order exactly 2 in case III; any other outcome
-    raises OracleMismatchError.
-    """
-    kind = _require_rational_nonfactorial(variety)
-    cox = total_coordinate_space(variety)
-    matrix = _grading_rows(kind, cox)
-    vector = _leading_block_vector(matrix.cols, cox.tcs_blocks[0][0])
-    order = element_order_in_cokernel(matrix, vector)
-    expected = 1 if kind.kind is RationalityKind.CASE_II else 2
-    if order != expected:
-        raise OracleMismatchError(
-            f"relation degree has order {order}, expected {expected}"
-        )
-    return order
-
-
-def cyclic_subgroup_order(variety: TrinomialVariety, y: int) -> int:
-    """Order of the class of sum_j (l_{0j}/y) D_{0j,1} for a case III variety.
-
-    `y` must divide gcd(l_01, ..., l_0n0); the resulting order is exactly y,
-    anything else raises OracleMismatchError.
-    """
-    kind = _require_rational_nonfactorial(variety)
-    if kind.kind is not RationalityKind.CASE_III:
-        raise ValueError("the cyclic subgroup construction needs a case III variety")
-    frak_l0 = variety.block_gcds()[0]
-    if y < 1 or frak_l0 % y:
-        raise ValueError(f"y={y} does not divide the leading block gcd {frak_l0}")
-    matrix = grading_matrix(variety)
-    vector = _leading_block_vector(matrix.cols, [e // y for e in variety.blocks[0]])
-    order = element_order_in_cokernel(matrix, vector)
-    if order != y:
-        raise OracleMismatchError(f"cyclic subgroup has order {order}, expected {y}")
-    return order
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, Union
@@ -87,31 +86,12 @@ class SpecError(ValueError):
     """Malformed input file; carries human-readable field context."""
 
 
-@dataclass(frozen=True)
-class VarietySpec:
-    """Parsed and size-checked content of one input file."""
+def parse_spec(text: str) -> dict:
+    """Parse one JSON variety description, with field-level error context.
 
-    kind: str
-    blocks: list[tuple[int, ...]]
-    m: int
-    theta: Optional[tuple[str, ...]]
-
-    def to_variety(self) -> Union[TrinomialVariety, Type1Variety]:
-        if self.kind == "trinomial":
-            return TrinomialVariety(self.blocks, self.m, self.theta)
-        return Type1Variety(self.blocks, self.m, self.theta)
-
-    def echo(self) -> dict:
-        return {
-            "kind": self.kind,
-            "blocks": [list(b) for b in self.blocks],
-            "m": self.m,
-            "theta": list(self.theta) if self.theta is not None else None,
-        }
-
-
-def parse_spec(text: str) -> VarietySpec:
-    """Parse one JSON variety description, with field-level error context."""
+    Returns the checked {"kind", "blocks", "m", "theta"} fields in that
+    order, which the report echoes as its "input"; an empty theta is None.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -155,7 +135,7 @@ def parse_spec(text: str) -> VarietySpec:
     if any(len(b) > MAX_BLOCK for b in blocks):
         raise SpecError(f"a block has more than MAX_BLOCK = {MAX_BLOCK} variables")
 
-    return VarietySpec(kind, [tuple(b) for b in blocks], m, tuple(theta) if theta else None)
+    return {"kind": kind, "blocks": blocks, "m": m, "theta": theta or None}
 
 
 def group_json(group: ClassGroup) -> dict:
@@ -264,8 +244,8 @@ def _isolated_json(adjusted: TrinomialVariety) -> dict:
     return {"isolated": report.isolated, "case": report.case.value}
 
 
-def _type1_json(spec: VarietySpec) -> dict:
-    adjusted = adjust_type1(spec.to_variety())
+def _type1_json(variety: Type1Variety) -> dict:
+    adjusted = adjust_type1(variety)
     group = class_group_type1(adjusted)
     lift = lift_to_type2(adjusted)
     lift_report = class_group_report(adjust(lift)[0], GroupMethod.FORMULA)
@@ -280,27 +260,26 @@ def _type1_json(spec: VarietySpec) -> dict:
     }
 
 
-def _require_kind(spec: VarietySpec, kind: str) -> None:
-    if spec.kind != kind:
-        raise SpecError(f"this subcommand needs kind '{kind}', got '{spec.kind}'")
-
-
-def _run_single(command: str, spec: VarietySpec, method: GroupMethod) -> dict:
+def _run_single(command: str, spec: dict, method: GroupMethod) -> dict:
     """Compute the report fragment for one parsed spec; may raise."""
-    out: dict = {"input": spec.echo()}
+    out: dict = {"input": spec}
+    kind = spec["kind"]
+    needed = "type1" if command == "type1-classgroup" else "trinomial"
+    if kind != needed and command not in ("validate", "adjust"):
+        raise SpecError(f"this subcommand needs kind '{needed}', got '{kind}'")
+    family = TrinomialVariety if kind == "trinomial" else Type1Variety
+    variety = family(spec["blocks"], spec["m"], spec["theta"])
 
     if command == "validate":
-        spec.to_variety()
         out["valid"] = True
         return out
 
-    if command == "adjust" and spec.kind == "type1":
-        out["adjusted"] = _variety_json(adjust_type1(spec.to_variety()))
+    if command == "adjust" and kind == "type1":
+        out["adjusted"] = _variety_json(adjust_type1(variety))
         return out
 
     if command == "type1-classgroup":
-        _require_kind(spec, "type1")
-        fragment = _type1_json(spec)
+        fragment = _type1_json(variety)
         if not fragment["class_group"]["finitely_generated"]:
             raise NotRationalError(
                 "class group is not finitely generated: variety is not rational"
@@ -308,8 +287,7 @@ def _run_single(command: str, spec: VarietySpec, method: GroupMethod) -> dict:
         out.update(fragment)
         return out
 
-    _require_kind(spec, "trinomial")
-    adjusted, record = adjust(spec.to_variety())
+    adjusted, record = adjust(variety)
 
     if command in ("adjust", "invariants"):
         out["adjusted"] = _adjusted_json(adjusted, record)

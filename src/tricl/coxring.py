@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
-    FactorialInputError,
     IterationNotAdmittedError,
     NotHyperplatonicError,
     NotRationalError,
@@ -48,16 +47,6 @@ def _p1_rows(variety: TrinomialVariety) -> IntMatrix:
         scale = math.gcd(gcds[0], gcds[i])
         rows[i - 1] = {j: e // scale for j, e in rows[i - 1].items()}
     return IntMatrix.from_sparse(rows, variety.n + variety.m)
-
-
-def p1_matrix(variety: TrinomialVariety) -> IntMatrix:
-    """Scaled exponent matrix of an adjusted, rational, non-factorial variety."""
-    kind = rationality_class(variety)
-    if not kind.is_rational:
-        raise NotRationalError("the scaled exponent matrix needs a rational variety")
-    if kind.is_factorial:
-        raise FactorialInputError("a factorial variety is its own total coordinate space")
-    return _p1_rows(variety)
 
 
 @dataclass(frozen=True)

@@ -58,26 +58,13 @@ SparseRow = dict[int, int]
 class IntMatrix:
     """Immutable matrix of unbounded integers, stored as sparse rows.
 
-    Built from ``rows * cols`` row-major `entries`, from dense rows with
-    `from_rows`, or from {column: nonzero entry} rows with `from_sparse`;
-    both dimensions may be zero.
+    Built from dense rows with `from_rows` or from {column: nonzero entry}
+    rows with `from_sparse`; both dimensions may be zero.
     """
 
     rows: int
     cols: int
     _sparse: tuple[SparseRow, ...] = field(hash=False)
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[int]) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        dense = (entries[i * cols : (i + 1) * cols] for i in range(rows))
-        self._adopt([{j: x for j, x in enumerate(row) if x} for row in dense], cols)
-
-    def _adopt(self, rows: Sequence[SparseRow], cols: int) -> None:
-        for name, value in (("rows", len(rows)), ("cols", cols), ("_sparse", tuple(rows))):
-            object.__setattr__(self, name, value)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -104,7 +91,7 @@ class IntMatrix:
         columns lie in range(cols).  The dicts are kept, not copied, so the
         caller must not change them afterwards."""
         matrix = cls.__new__(cls)
-        matrix._adopt(rows, cols)
+        matrix.__dict__.update(rows=len(rows), cols=cols, _sparse=tuple(rows))
         return matrix
 
     @property
@@ -639,8 +626,6 @@ def canonical_group(factors: Sequence[int], rank: int = 0) -> FgAbelianGroup:
     Factors equal to 1 are dropped; the rest are rewritten into an
     invariant-factor chain over their coprime base.
     """
-    if rank < 0:
-        raise ValueError("rank must be nonnegative")
     fs = [int(f) for f in factors]
     if any(f < 1 for f in fs):
         raise ValueError("torsion factors must be >= 1")

@@ -1,4 +1,5 @@
-"""Slow reference implementations that faster library code is tested against.
+"""Slow reference implementations that faster library code is tested against,
+and the element orders in the class group that the tests check.
 
 Nothing under ``src/`` imports this module.
 """
@@ -9,7 +10,9 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from tricl.exactlinalg import IntMatrix, hermite_basis, matrix_A
+from tricl.classgroup import grading_matrix
+from tricl.coxring import total_coordinate_space
+from tricl.exactlinalg import IntMatrix, element_order_in_cokernel, hermite_basis, matrix_A
 from tricl.variety import RationalityClass, RationalityKind
 
 
@@ -423,14 +426,13 @@ def _to_rows(matrix: IntMatrix) -> list[list[int]]:
 def block_diagonal(blocks) -> IntMatrix:
     """Block-diagonal assembly of the given matrices."""
     cols = sum(b.cols for b in blocks)
-    entries: list[int] = []
+    rows: list[tuple[int, ...]] = []
     j0 = 0
     for b in blocks:
         left, right = (0,) * j0, (0,) * (cols - j0 - b.cols)
-        for i in range(b.rows):
-            entries += left + b.row(i) + right
+        rows += [left + b.row(i) + right for i in range(b.rows)]
         j0 += b.cols
-    return IntMatrix(sum(b.rows for b in blocks), cols, tuple(entries))
+    return IntMatrix.from_rows(rows, cols)
 
 
 def chain_pairwise(factors) -> tuple[int, ...]:
@@ -485,14 +487,12 @@ def hermite_reference(matrix: IntMatrix) -> IntMatrix:
 
 def identity(n: int) -> IntMatrix:
     """The n x n identity matrix."""
-    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+    return IntMatrix.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
 
 def transpose(matrix: IntMatrix) -> IntMatrix:
-    return IntMatrix(
-        matrix.cols,
-        matrix.rows,
-        tuple(matrix[i, j] for j in range(matrix.cols) for i in range(matrix.rows)),
+    return IntMatrix.from_rows(
+        [[matrix[i, j] for i in range(matrix.rows)] for j in range(matrix.cols)], matrix.rows
     )
 
 
@@ -500,7 +500,8 @@ def stack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
     """Vertical concatenation; both matrices must have the same width."""
     if top.cols != bottom.cols:
         raise ValueError("column counts differ")
-    return IntMatrix(top.rows + bottom.rows, top.cols, top.entries + bottom.entries)
+    rows = [top.row(i) for i in range(top.rows)] + [bottom.row(i) for i in range(bottom.rows)]
+    return IntMatrix.from_rows(rows, top.cols)
 
 
 def matmul(left: IntMatrix, right: IntMatrix) -> IntMatrix:
@@ -510,9 +511,8 @@ def matmul(left: IntMatrix, right: IntMatrix) -> IntMatrix:
     out = []
     for i in range(left.rows):
         ri = left.row(i)
-        for j in range(right.cols):
-            out.append(sum(ri[k] * right[k, j] for k in range(left.cols)))
-    return IntMatrix(left.rows, right.cols, tuple(out))
+        out.append([sum(ri[k] * right[k, j] for k in range(left.cols)) for j in range(right.cols)])
+    return IntMatrix.from_rows(out, right.cols)
 
 
 def coordinates_in_lattice(basis: IntMatrix, vector) -> Optional[tuple[int, ...]]:
@@ -617,6 +617,27 @@ def grading_rows_reference(kind: RationalityClass, cox) -> IntMatrix:
                 row[column(0, 1, j)] -= base[j - 1]
             rows.append(row)
     return IntMatrix.from_rows(rows, cox.n_prime)
+
+
+def leading_class_order(variety, exponents) -> Optional[int]:
+    """Order in the class group of the class of sum_j exponents[j] D_{0j,1}.
+
+    Block 0, copy 1 occupies the first columns of the grading matrix, so
+    the class is that of `exponents` padded with zeros.
+    """
+    matrix = grading_matrix(variety)
+    vector = list(exponents) + [0] * (matrix.cols - len(exponents))
+    return element_order_in_cokernel(matrix, vector)
+
+
+def relation_degree_order(variety) -> Optional[int]:
+    """Order of the class of the leading relation monomial sum_j l_{0j,1} D_{0j,1}."""
+    return leading_class_order(variety, total_coordinate_space(variety).tcs_blocks[0][0])
+
+
+def cyclic_subgroup_order(variety, y: int) -> Optional[int]:
+    """Order of the class of sum_j (l_0j / y) D_{0j,1}, for y dividing L0."""
+    return leading_class_order(variety, [e // y for e in variety.blocks[0]])
 
 
 def matrix_B_reference(k: int, exponents, frak_l: int) -> IntMatrix:

@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from oracles import determinantal_divisor
+from oracles import cyclic_subgroup_order, determinantal_divisor, relation_degree_order
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
     GroupMethod,
@@ -19,9 +19,7 @@ from tricl.classgroup import (
     class_group_report,
     class_group_snf,
     compulsory_torsion,
-    cyclic_subgroup_order,
     isolated_singularity_report,
-    relation_degree_order,
 )
 from tricl.coxring import (
     PlatonicTriple,

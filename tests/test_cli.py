@@ -35,14 +35,16 @@ def run_cli(capsys, *argv):
 
 class TestParseSpec:
     def test_quadric(self):
-        spec = parse_spec('{"kind":"trinomial","blocks":[[2],[2],[2]],"m":0}')
-        assert spec.kind == "trinomial"
-        assert spec.blocks == [(2,), (2,), (2,)]
+        spec = parse_spec('{"m":0,"blocks":[[2],[2],[2]],"kind":"trinomial"}')
+        assert spec == {"kind": "trinomial", "blocks": [[2], [2], [2]], "m": 0, "theta": None}
+        # The text report echoes the fields in this order.
+        assert list(spec) == ["kind", "blocks", "m", "theta"]
 
     def test_type1_defaults(self):
         spec = parse_spec('{"kind":"type1","blocks":[[2],[2]]}')
-        assert spec.kind == "type1"
-        assert spec.m == 0 and spec.theta is None
+        assert spec["kind"] == "type1"
+        assert spec["m"] == 0 and spec["theta"] is None
+        assert parse_spec('{"kind":"type1","blocks":[[2],[2]],"theta":[]}')["theta"] is None
 
     def test_invalid_exponent(self):
         with pytest.raises(SpecError, match=r"blocks\[0\]\[0\]"):
@@ -64,7 +66,7 @@ class TestParseSpec:
         spec = parse_spec(
             '{"kind":"trinomial","blocks":[[2],[2],[2],[3]],"theta":["1/2"]}'
         )
-        assert spec.theta == ("1/2",)
+        assert spec["theta"] == ["1/2"]
         with pytest.raises(SpecError, match="theta"):
             parse_spec('{"kind":"trinomial","blocks":[[2],[2],[2],[3]],"theta":["x"]}')
 

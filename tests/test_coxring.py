@@ -14,11 +14,9 @@ from tricl.coxring import (
     duval_surface,
     is_hyperplatonic,
     iterate_cox_rings,
-    p1_matrix,
     total_coordinate_space,
 )
 from tricl.errors import (
-    FactorialInputError,
     InvalidVarietyError,
     IterationNotAdmittedError,
     NonPositiveExponentError,
@@ -33,33 +31,29 @@ G = FgAbelianGroup
 
 
 class TestP1Matrix:
+    @staticmethod
+    def p1(blocks, m=0):
+        return total_coordinate_space(V(blocks, m)).p1
+
     def test_d4(self):
-        assert p1_matrix(V([[3], [3], [2]])) == IntMatrix.from_rows(
-            [[-1, 1, 0], [-3, 0, 2]]
-        )
+        assert self.p1([[3], [3], [2]]) == IntMatrix.from_rows([[-1, 1, 0], [-3, 0, 2]])
 
     def test_quadric(self):
-        assert p1_matrix(V([[2], [2], [2]])) == IntMatrix.from_rows(
-            [[-1, 1, 0], [-1, 0, 1]]
-        )
+        assert self.p1([[2], [2], [2]]) == IntMatrix.from_rows([[-1, 1, 0], [-1, 0, 1]])
 
     def test_case_ii_with_wide_block(self):
-        assert p1_matrix(V([[4], [2], [3, 3]])) == IntMatrix.from_rows(
+        assert self.p1([[4], [2], [3, 3]]) == IntMatrix.from_rows(
             [[-2, 1, 0, 0], [-4, 0, 3, 3]]
         )
 
     def test_free_variables_add_zero_columns(self):
-        assert p1_matrix(V([[2], [2], [2]], m=1)) == IntMatrix.from_rows(
+        assert self.p1([[2], [2], [2]], m=1) == IntMatrix.from_rows(
             [[-1, 1, 0, 0], [-1, 0, 1, 0]]
         )
 
-    def test_factorial_rejected(self):
-        with pytest.raises(FactorialInputError):
-            p1_matrix(V([[2], [3], [5]]))
-
     def test_non_rational_rejected(self):
         with pytest.raises(NotRationalError):
-            p1_matrix(V([[6], [3], [4]]))
+            self.p1([[6], [3], [4]])
 
 
 class TestTotalCoordinateSpace:

@@ -6,12 +6,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import relation_degree_order
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
     class_group_formula,
     class_group_snf,
     compulsory_torsion,
-    relation_degree_order,
 )
 from tricl.coxring import (
     duval_diagram,
