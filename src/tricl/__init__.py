@@ -27,7 +27,6 @@ from .exactlinalg import (
     FgAbelianGroup,
     IntMatrix,
     SmithData,
-    canonical_group,
     cokernel,
     element_order_in_cokernel,
     hermite_basis,
@@ -40,7 +39,6 @@ from .variety import (
     AdjustmentRecord,
     BlockInvariants,
     MAX_N_PRIME,
-    component_counts,
     RationalityClass,
     RationalityKind,
     TrinomialVariety,

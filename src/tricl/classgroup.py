@@ -38,7 +38,6 @@ from .exactlinalg import (
     FgAbelianGroup,
     IntMatrix,
     _relation_rows,
-    canonical_group,
     cokernel,
 )
 from .variety import (
@@ -104,11 +103,11 @@ def compulsory_torsion(variety: TrinomialVariety) -> FgAbelianGroup:
     kind = _require_rational_nonfactorial(variety)
     gcds = variety.block_gcds()
     if kind.kind is RationalityKind.CASE_II:
-        closed = canonical_group([g for g in gcds[2:] for _ in range(kind.c - 1)])
+        closed = FgAbelianGroup(0, [g for g in gcds[2:] for _ in range(kind.c - 1)])
     else:
         factors = [gcds[0] // 2, gcds[1] // 2, gcds[2] // 2]
         factors += [g for g in gcds[3:] for _ in range(3)]
-        closed = canonical_group(factors)
+        closed = FgAbelianGroup(0, factors)
     cox = total_coordinate_space(variety)
     from_snf = cokernel(exponent_matrix(cox.tcs)).torsion_part()
     if closed != from_snf:

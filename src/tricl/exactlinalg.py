@@ -28,7 +28,7 @@ the case-III grading matrices reached hundreds of thousands of bits
   torsion plus one Z/D for each free generator; those copies are dropped.
 * A direct sum of cyclic groups is turned into the invariant-factor chain
   over a coprime base of its orders (Bernstein, J. Algorithms 54, 2005),
-  which is all `canonical_group` does.
+  which `FgAbelianGroup` does to every group it is given.
 
 The exact stage takes its pivots from a heap of columns keyed by Markowitz
 (fill-in) cost and re-keyed only where a pivot changed something (Dumas,
@@ -116,9 +116,10 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class FgAbelianGroup:
-    """A finitely generated abelian group in invariant-factor canonical form.
+    """The finitely generated abelian group Z^rank x Z/f_1 x ... x Z/f_k.
 
-    ``rank`` is the free-part exponent and ``invariant_factors`` is the
+    Construction takes any integer factors f_i >= 1 and stores the group in
+    invariant-factor canonical form: ``invariant_factors`` becomes the
     divisibility chain d1 | d2 | ... | dk with every dk >= 2.  Two groups are
     isomorphic iff their canonical forms compare equal, so `==` decides
     isomorphism.
@@ -128,15 +129,14 @@ class FgAbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rank < 0:
+        rank = operator.index(self.rank)
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        fs = tuple(int(f) for f in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", fs)
-        if any(f < 2 for f in fs):
-            raise ValueError("invariant factors must all be >= 2")
-        for a, b in zip(fs, fs[1:]):
-            if b % a != 0:
-                raise ValueError(f"invariant factors do not form a chain: {a} does not divide {b}")
+        fs = [operator.index(f) for f in self.invariant_factors]
+        if any(f < 1 for f in fs):
+            raise ValueError("torsion factors must be >= 1")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "invariant_factors", _chain(fs))
 
     @property
     def is_trivial(self) -> bool:
@@ -171,9 +171,6 @@ class FgAbelianGroup:
             parts.append(f"Z^{self.rank}")
         parts.extend(f"Z/{d}" for d in self.invariant_factors)
         return " x ".join(parts) if parts else "0"
-
-
-TRIVIAL_GROUP = FgAbelianGroup(0, ())
 
 
 @dataclass(frozen=True)
@@ -489,6 +486,9 @@ def _chain(factors: Iterable[int]) -> tuple[int, ...]:
     return tuple(f for f in reversed(largest) if f > 1)
 
 
+TRIVIAL_GROUP = FgAbelianGroup(0, ())
+
+
 def smith_invariants(matrix: IntMatrix) -> SmithData:
     """Rank and invariant-factor chain of an integer matrix.
 
@@ -522,8 +522,7 @@ def cokernel(matrix: IntMatrix) -> FgAbelianGroup:
     invariant factors larger than 1.  A matrix with no rows yields Z^cols.
     """
     data = smith_invariants(matrix)
-    factors = tuple(f for f in data.invariant_factors if f > 1)
-    return FgAbelianGroup(matrix.cols - data.rank, factors)
+    return FgAbelianGroup(matrix.cols - data.rank, data.invariant_factors)
 
 
 def matrix_A(k: int, exponents: Sequence[int]) -> IntMatrix:
@@ -558,7 +557,7 @@ def matrix_B(k: int, exponents: Sequence[int], frak_l: int) -> IntMatrix:
     `frak_l` must divide every exponent.
     """
     a = matrix_A(k, exponents)
-    l = a.row(0)[: a.rows - k]  # row 0 starts with the exponent vector
+    l = tuple(a._sparse[0].values())  # row 0 is the checked exponent vector
     if frak_l < 1 or any(x % frak_l for x in l):
         raise ValueError(f"{frak_l} does not divide all of {l}")
     n = len(l)
@@ -618,18 +617,6 @@ def is_saturated_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:
         return False
     data = smith_invariants(IntMatrix.from_sparse(expression, len(basis)))
     return all(f == 1 for f in data.invariant_factors)
-
-
-def canonical_group(factors: Sequence[int], rank: int = 0) -> FgAbelianGroup:
-    """Canonical form of the direct sum of Z/f_i (f_i >= 1) and Z^rank.
-
-    Factors equal to 1 are dropped; the rest are rewritten into an
-    invariant-factor chain over their coprime base.
-    """
-    fs = [int(f) for f in factors]
-    if any(f < 1 for f in fs):
-        raise ValueError("torsion factors must be >= 1")
-    return FgAbelianGroup(rank, _chain(fs))
 
 
 def element_order_in_cokernel(matrix: IntMatrix, vector: Sequence[int]) -> Optional[int]:

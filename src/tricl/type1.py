@@ -39,14 +39,6 @@ class Type1Variety:
         _check_fields(self, max(len(self.blocks) - 1, 0), fixed_first=True)
 
     @property
-    def r(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def n(self) -> int:
-        return sum(len(block) for block in self.blocks)
-
-    @property
     def is_degenerate(self) -> bool:
         return len(self.blocks) < 2
 

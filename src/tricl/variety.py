@@ -46,7 +46,7 @@ from .errors import (
     NotAdjustedError,
     ResourceLimitError,
 )
-from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup, IntMatrix, SparseRow, canonical_group
+from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup, IntMatrix, SparseRow
 
 Theta = Union[Fraction, str]
 
@@ -190,7 +190,7 @@ class TrinomialVariety:
 
     The underscored cached fields hold the analysis of the value.  The
     rationality class and component counts are meaningful only for adjusted
-    data; `rationality_class` and `component_counts` check that first.
+    data; `rationality_class` and `block_invariants` check that first.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -407,12 +407,6 @@ class BlockInvariants:
     c: Optional[tuple[int, ...]]
 
 
-def component_counts(variety: TrinomialVariety) -> tuple[int, ...]:
-    """The number of irreducible components c(i) of each coordinate vanishing
-    set, for an adjusted rational variety."""
-    return require_adjusted(variety)._counts
-
-
 def block_invariants(variety: TrinomialVariety) -> BlockInvariants:
     """Exact gcd data of the blocks; c(i) only when adjusted and rational."""
     gcds = variety.block_gcds()
@@ -506,7 +500,7 @@ def class_group_formula(variety: TrinomialVariety) -> ClassGroup:
     else:
         factors = [gcds[0] * gcds[1] * gcds[2] // 4]
         factors += [g for g in gcds[3:] for _ in range(3)]
-    return canonical_group(factors, _free_rank(variety._counts, variety.blocks))
+    return FgAbelianGroup(_free_rank(variety._counts, variety.blocks), factors)
 
 
 def _block_offsets(blocks: Sequence[Sequence[int]]) -> list[int]:

@@ -70,6 +70,20 @@ class TestParseSpec:
         with pytest.raises(SpecError, match="theta"):
             parse_spec('{"kind":"trinomial","blocks":[[2],[2],[2],[3]],"theta":["x"]}')
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('[2, 2, 2]', "top level must be a JSON object"),
+            ('{"kind": "trinomial", "blocks": [2, 2, 2]}', "field 'blocks'"),
+            ('{"kind": "trinomial", "blocks": [[2], [2], [2]], "m": -1}', "field 'm'"),
+            ('{"kind": "trinomial", "blocks": [[2], [2], [2]], "m": true}', "field 'm'"),
+            ('{"kind": "trinomial", "blocks": [[2], [2], [2], [3]], "theta": [1]}', "field 'theta'"),
+        ],
+    )
+    def test_type_errors(self, text, field):
+        with pytest.raises(SpecError, match=field):
+            parse_spec(text)
+
     def test_max_block_cap(self):
         def spec(blocks):
             return json.dumps({"kind": "trinomial", "blocks": blocks})
@@ -143,6 +157,17 @@ class TestSubcommands:
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "absent.json"))
         assert code == EXIT_INVALID_INPUT
 
+    def test_empty_directory_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "validate", str(tmp_path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == "" and err == "no input files found\n"
+
+    def test_validate_success(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": [[6], [3], [4]]})
+        code, out, err = run_cli(capsys, "--format", "json", "validate", path)
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["valid"] is True
+
     def _assert_refused_as_input(self, capsys, path, message):
         code, _, err = run_cli(capsys, "--format", "json", "classgroup", str(path))
         assert code == EXIT_INVALID_INPUT
@@ -207,6 +232,19 @@ class TestSubcommands:
         assert payload["class_group"]["pretty"] == "Z"
         assert payload["lift"]["blocks"] == [[2], [2], [1, 1]]
 
+    def test_type1_not_finitely_generated_exits_3(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "v.json", {"kind": "type1", "blocks": [[3], [3]]})
+        code, out, err = run_cli(capsys, "--format", "json", "type1-classgroup", path)
+        assert code == EXIT_NOT_FINITELY_GENERATED and out == ""
+        failure = json.loads(err)
+        assert failure["error"] == "class group is not finitely generated: variety is not rational"
+
+    def test_adjust_type1(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "v.json", {"kind": "type1", "blocks": [[1], [2], [4, 2]]})
+        code, out, _ = run_cli(capsys, "--format", "json", "adjust", path)
+        assert code == EXIT_OK
+        assert json.loads(out)["adjusted"] == {"blocks": [[4, 2], [2]], "m": 0, "degenerate": False}
+
     def test_type1_on_trinomial_command_exits_2(self, tmp_path, capsys):
         path = write_spec(tmp_path, "v.json", {"kind": "type1", "blocks": [[2], [2]]})
         code, _, _ = run_cli(capsys, "classgroup", path)
@@ -223,6 +261,12 @@ class TestSubcommands:
         assert cox["tcs_blocks"] == [[2], [1], [3, 3], [3, 3]]
         assert cox["p1"] == [[-2, 1, 0, 0], [-4, 0, 3, 3]]
 
+    def test_coxring_not_rational_exits_3(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": [[6], [3], [4]]})
+        code, out, err = run_cli(capsys, "--format", "json", "coxring", path)
+        assert code == EXIT_NOT_FINITELY_GENERATED and out == ""
+        assert json.loads(err)["error"] == "the total coordinate space needs a rational variety"
+
     def test_memory_error_exits_6(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(rows):
             raise MemoryError()
@@ -238,6 +282,13 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == EXIT_OK
         assert "18/18 passed" in out
+
+    def test_selftest_json_writes_only_json_lines(self, capsys):
+        code, out, err = run_cli(capsys, "--format", "json", "selftest")
+        assert code == EXIT_OK
+        results = [json.loads(line) for line in out.splitlines()]
+        assert len(results) == 18 and all(result["ok"] is True for result in results)
+        assert err == "selftest: 18/18 passed\n"
 
 
 class TestReport:

@@ -35,7 +35,6 @@ from tricl.classgroup import GroupMethod, class_group_formula, class_group_repor
 from tricl.exactlinalg import (
     FgAbelianGroup,
     IntMatrix,
-    canonical_group,
     cokernel,
     element_order_in_cokernel,
     hermite_basis,
@@ -223,8 +222,8 @@ class TestSmithEngine:
             n = len(factors)
             diagonal = M([[factors[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
             _, chain = smith_oracle(diagonal)
-            expected = FgAbelianGroup(rank, tuple(f for f in chain if f > 1))
-            assert canonical_group(factors, rank) == expected
+            group = FgAbelianGroup(rank, factors)
+            assert (group.rank, group.invariant_factors) == (rank, tuple(f for f in chain if f > 1))
 
     def test_minor_of_a_nonsingular_square_matrix_is_its_determinant(self):
         rng = random.Random(7)
@@ -493,7 +492,7 @@ class TestChainAgainstPairwise:
             factors = [rng.choice(pool) for _ in range(rng.randint(0, 14))]
             expected = chain_pairwise(factors)
             assert exactlinalg._chain(factors) == expected, factors
-            assert canonical_group(factors, 1) == FgAbelianGroup(1, expected)
+            assert FgAbelianGroup(1, factors).invariant_factors == expected
 
     def test_chain_inputs_of_the_enumeration(self, monkeypatch, enumeration_corpus):
         inputs = _recorded_chain_inputs(
@@ -589,24 +588,27 @@ class TestExactStageAgainstReference:
 
 
 class TestCanonicalGroup:
+    """`FgAbelianGroup` puts any factors >= 1 into invariant-factor form."""
+
     def test_crt(self):
-        assert canonical_group([2, 3]) == FgAbelianGroup(0, (6,))
+        assert FgAbelianGroup(0, [2, 3]).invariant_factors == (6,)
 
     def test_repeated_factor(self):
-        assert canonical_group([2, 2], rank=1) == FgAbelianGroup(1, (2, 2))
+        assert FgAbelianGroup(1, [2, 2]).invariant_factors == (2, 2)
 
     def test_remark_example(self):
-        assert canonical_group([2], rank=2) == FgAbelianGroup(2, (2,))
+        group = FgAbelianGroup(2, [2])
+        assert (group.rank, group.invariant_factors) == (2, (2,))
 
     def test_drops_ones(self):
-        assert canonical_group([1, 1, 1]) == FgAbelianGroup(0, ())
-        assert canonical_group([1, 4, 1, 6]) == FgAbelianGroup(0, (2, 12))
+        assert FgAbelianGroup(0, [1, 1, 1]).invariant_factors == ()
+        assert FgAbelianGroup(0, [1, 4, 1, 6]).invariant_factors == (2, 12)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            canonical_group([0])
-        with pytest.raises(ValueError):
-            canonical_group([2], rank=-1)
+        with pytest.raises(ValueError, match="torsion factors must be >= 1"):
+            FgAbelianGroup(0, [0])
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            FgAbelianGroup(-1, [2])
 
     @given(
         st.lists(st.integers(min_value=1, max_value=30), max_size=6),
@@ -615,12 +617,10 @@ class TestCanonicalGroup:
     )
     @settings(max_examples=150, deadline=None)
     def test_associativity(self, xs, ys, rank):
-        combined = canonical_group(xs + ys, rank)
-        g1 = canonical_group(xs)
-        g2 = canonical_group(ys)
-        recombined = canonical_group(
-            g1.invariant_factors + g2.invariant_factors, rank
-        )
+        combined = FgAbelianGroup(rank, xs + ys)
+        g1 = FgAbelianGroup(0, xs)
+        g2 = FgAbelianGroup(0, ys)
+        recombined = FgAbelianGroup(rank, g1.invariant_factors + g2.invariant_factors)
         assert combined == recombined
         # canonical output satisfies the chain invariant by construction
         fs = combined.invariant_factors
@@ -629,12 +629,16 @@ class TestCanonicalGroup:
 
 class TestFgAbelianGroup:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FgAbelianGroup(0, (1,))
-        with pytest.raises(ValueError):
-            FgAbelianGroup(0, (4, 6))
+        assert FgAbelianGroup(0, (1,)).is_trivial
+        assert FgAbelianGroup(0, (4, 6)) == FgAbelianGroup(0, (2, 12))
         with pytest.raises(ValueError):
             FgAbelianGroup(-1, ())
+
+    def test_integers_only(self):
+        # A float or a string is refused, not truncated or parsed.
+        for rank, factors in ((0, (2.5,)), (1.5, ()), (0, ("6",))):
+            with pytest.raises(TypeError):
+                FgAbelianGroup(rank, factors)
 
     def test_rendering(self):
         assert str(FgAbelianGroup(0, ())) == "0"
