@@ -28,11 +28,6 @@ from .exactlinalg import (
     IntMatrix,
     SmithData,
     cokernel,
-    element_order_in_cokernel,
-    hermite_basis,
-    is_saturated_sublattice,
-    matrix_A,
-    matrix_B,
     smith_invariants,
 )
 from .variety import (

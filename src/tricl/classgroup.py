@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .coxring import CoxConstruction, total_coordinate_space
 from .errors import (
@@ -37,7 +37,7 @@ from .exactlinalg import (
     TRIVIAL_GROUP,
     FgAbelianGroup,
     IntMatrix,
-    _relation_rows,
+    SparseRow,
     cokernel,
 )
 from .variety import (
@@ -132,6 +132,16 @@ def grading_matrix(variety: TrinomialVariety) -> IntMatrix:
     """
     kind = _require_rational_nonfactorial(variety)
     return _grading_rows(kind, total_coordinate_space(variety))
+
+
+def _relation_rows(k: int, exponents: Sequence[int], offset: int) -> list[SparseRow]:
+    """The relation block A(k, l) for l = `exponents`, its columns shifted
+    by `offset`: k rows holding l on the k column blocks of width n = len(l),
+    then n rows holding k horizontal copies of the n x n identity."""
+    n = len(exponents)
+    rows = [{offset + t * n + j: x for j, x in enumerate(exponents)} for t in range(k)]
+    rows += [{offset + t * n + j: 1 for t in range(k)} for j in range(n)]
+    return rows
 
 
 def _grading_rows(kind: RationalityClass, cox: CoxConstruction) -> IntMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,7 +22,7 @@ from .errors import (
     NotRationalError,
     OracleMismatchError,
 )
-from .exactlinalg import FgAbelianGroup, IntMatrix, is_saturated_sublattice, matrix_A, matrix_B
+from .exactlinalg import FgAbelianGroup, IntMatrix
 from .variety import (
     TrinomialVariety,
     _block_offsets,
@@ -140,7 +141,8 @@ class PlatonicTriple:
 
     @classmethod
     def classify(cls, triple: Sequence[int]) -> "PlatonicTriple":
-        a, b, c = (int(x) for x in triple)
+        """The triple with its label; a float or a string raises TypeError."""
+        a, b, c = map(operator.index, triple)
         if not (a >= b >= c >= 1):
             raise ValueError(f"triple {triple} is not decreasing positive")
         if c == 1:
@@ -304,8 +306,19 @@ class DuvalDiagram:
     yprime (for Smooth-labelled triples both sides degenerate to affine
     planes and are compared as such).  ``p_tilde`` and
     ``veronese_generators`` carry the degree-zero quotient data
-    T_i^{l_i / L_i}; ``saturation_ok`` reports the per-block lattice check
-    of the relation rows against their one-row quotient counterparts.
+    T_i^{l_i / L_i}.
+
+    ``saturation_ok`` states that, for each TCS block with c(i) = k copies
+    of the exponent vector l (n entries) and for frak_l = gcd(l), the
+    lattice B of the k monomial rows and the row of k copies of l / frak_l
+    is saturated in the lattice A of the relation block A(k, l): its k
+    monomial rows and n identity-sum rows s_j.  It is computed from a
+    lemma, not by lattice algebra.  The k + n rows of A satisfy exactly one
+    relation, generated by the primitive vector (1^k, -l), and B is spanned
+    by the monomial rows and sum_j (l_j / frak_l) s_j.  So A/B is
+    Z^n / <l / frak_l>, whose torsion is Z/(gcd(l) / frak_l): B is
+    saturated in A exactly when frak_l = gcd(l), which holds for every
+    input.
     """
 
     x_triple: PlatonicTriple
@@ -316,6 +329,12 @@ class DuvalDiagram:
     p_tilde: IntMatrix
     veronese_generators: tuple[str, ...]
     saturation_ok: bool
+
+
+def _quotient_torsion(exponents: Sequence[int], frak_l: int) -> int:
+    """Order of the torsion of A/B in the `DuvalDiagram` lemma, for every
+    number of copies k: gcd(l) / frak_l, where frak_l divides gcd(l)."""
+    return math.gcd(*exponents) // frak_l
 
 
 def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
@@ -353,12 +372,7 @@ def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
     p_tilde = IntMatrix.from_rows(p_tilde_rows, adjusted.n)
 
     saturation_ok = all(
-        is_saturated_sublattice(
-            matrix_B(cox.c[i], vector, math.gcd(*vector)),
-            matrix_A(cox.c[i], vector),
-        )
-        for i, copies in enumerate(cox.tcs_blocks)
-        for vector in copies[:1]
+        _quotient_torsion(copies[0], math.gcd(*copies[0])) == 1 for copies in cox.tcs_blocks
     )
 
     return DuvalDiagram(

@@ -6,10 +6,8 @@ every operation is a pure function, which makes the whole module safe to
 use from multiple threads.
 
 The heart of the module is `smith_invariants`, the rank and invariant
-factors of an integer matrix, together with the constructions built on top
-of it: cokernels presented as finitely generated abelian groups, Hermite
-lattice bases, element orders in a cokernel and the saturated-sublattice
-test.
+factors of an integer matrix, and `cokernel`, which presents the quotient
+by its row lattice as a finitely generated abelian group.
 
 Smith invariants are computed with bounded entry growth.  Integer
 elimination that divides by its pivots can blow up: intermediate entries of
@@ -34,9 +32,9 @@ The exact stage takes its pivots from a heap of columns keyed by Markowitz
 (fill-in) cost and re-keyed only where a pivot changed something (Dumas,
 Saunders and Villard, J. Symbolic Comput. 32, 2001).  It leaves at most a
 few dozen rows, so the Bareiss and mod-D stages scan them for each pivot.
-The three elimination stages, `hermite_basis` and the saturation test keep
-their rows in `_Rows`, whose column index finds the rows a pivot touches,
-so the work follows the nonzeros of the sparse matrices, not their cells.
+The three elimination stages keep their rows in `_Rows`, whose column
+index finds the rows a pivot touches, so the work follows the nonzeros of
+the sparse matrices, not their cells.
 """
 
 from __future__ import annotations
@@ -71,9 +69,10 @@ class IntMatrix:
         """Build a matrix from an iterable of equal-length rows.
 
         `cols` is only required when `rows` is empty (the width cannot be
-        inferred from no rows).
+        inferred from no rows).  Entries must be integers: a float or a
+        string raises TypeError.
         """
-        data = [tuple(int(x) for x in row) for row in rows]
+        data = [tuple(map(operator.index, row)) for row in rows]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -523,115 +522,3 @@ def cokernel(matrix: IntMatrix) -> FgAbelianGroup:
     """
     data = smith_invariants(matrix)
     return FgAbelianGroup(matrix.cols - data.rank, data.invariant_factors)
-
-
-def matrix_A(k: int, exponents: Sequence[int]) -> IntMatrix:
-    """The (k + n) x (k n) relation block for n = len(exponents).
-
-    The first k rows place one copy of the exponent vector on each column
-    block; the last n rows are k horizontal copies of the n x n identity.
-    Its rank is n - 1 + k and its top determinantal divisor divides
-    gcd(exponents)^(k-1).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    l = tuple(int(x) for x in exponents)
-    if not l or any(x < 1 for x in l):
-        raise ValueError("exponent vector must be nonempty with positive entries")
-    return IntMatrix.from_sparse(_relation_rows(k, l), k * len(l))
-
-
-def _relation_rows(k: int, exponents: Sequence[int], offset: int = 0) -> list[SparseRow]:
-    """The rows of `matrix_A`, with every column shifted by `offset`."""
-    n = len(exponents)
-    rows = [{offset + t * n + j: x for j, x in enumerate(exponents)} for t in range(k)]
-    rows += [{offset + t * n + j: 1 for t in range(k)} for j in range(n)]
-    return rows
-
-
-def matrix_B(k: int, exponents: Sequence[int], frak_l: int) -> IntMatrix:
-    """Variant of `matrix_A` with the identity rows replaced by one row.
-
-    The first k rows are those of `matrix_A`; the single last row holds k
-    horizontal copies of exponents/frak_l, so the result has k + 1 rows.
-    `frak_l` must divide every exponent.
-    """
-    a = matrix_A(k, exponents)
-    l = tuple(a._sparse[0].values())  # row 0 is the checked exponent vector
-    if frak_l < 1 or any(x % frak_l for x in l):
-        raise ValueError(f"{frak_l} does not divide all of {l}")
-    n = len(l)
-    last = {t * n + j: x // frak_l for t in range(k) for j, x in enumerate(l)}
-    return IntMatrix.from_sparse(a._sparse[:k] + (last,), a.cols)
-
-
-def hermite_basis(matrix: IntMatrix) -> IntMatrix:
-    """Canonical basis of the row lattice of `matrix` (row-style Hermite form).
-
-    The returned rows are in echelon form with positive pivots and entries
-    above each pivot reduced into [0, pivot); zero rows are dropped, so equal
-    lattices yield equal bases.  Column indexes find the rows each
-    remainder step touches.
-    """
-    work = _Rows(dict(row) for row in matrix._sparse)
-    basis = _Rows([])
-    for j in sorted(work.where):
-        holders = work.where[j]
-        while len(holders) > 1:
-            p = min(holders, key=lambda t: (abs(work.rows[t][j]), len(work.rows[t]), t))
-            for t in list(holders):
-                if t != p and (q := work.rows[t][j] // work.rows[p][j]):
-                    work.subtract(t, q, work.rows[p])
-        if holders:
-            row = work.remove(next(iter(holders)))
-            if row[j] < 0:
-                row = {k: -x for k, x in row.items()}
-            for i in list(basis.where.get(j, ())):
-                if q := basis.rows[i][j] // row[j]:
-                    basis.subtract(i, q, row)
-            basis.append(row)
-    return IntMatrix.from_sparse(basis.rows, matrix.cols)
-
-
-def is_saturated_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:
-    """True iff rowlattice(sub) lies in rowlattice(sup) with torsion-free quotient.
-
-    The rows of `sub` (no basis needed) are expressed integrally in the
-    Hermite basis of the superlattice; saturation means all Smith invariant
-    factors of those coordinate rows equal 1.  Containment failure returns
-    False rather than raising.  The zero lattice is saturated in anything.
-    """
-    if sub.cols != sup.cols:
-        raise ValueError("lattices live in different ambient spaces")
-    basis = hermite_basis(sup)._sparse
-    work = _Rows(dict(row) for row in sub._sparse)
-    expression: list[SparseRow] = [{} for _ in work.rows]
-    # In echelon order: a basis row changes no column left of its pivot, so
-    # each pivot column is reduced once, in every row at the same time.
-    for i, row in enumerate(basis):
-        j = min(row)
-        for t in list(work.where.get(j, ())):
-            expression[t][i] = q = work.rows[t][j] // row[j]
-            work.subtract(t, q, row)
-    if any(work.rows):  # a remainder is left: sub is not inside sup
-        return False
-    data = smith_invariants(IntMatrix.from_sparse(expression, len(basis)))
-    return all(f == 1 for f in data.invariant_factors)
-
-
-def element_order_in_cokernel(matrix: IntMatrix, vector: Sequence[int]) -> Optional[int]:
-    """Order of the class of `vector` in Z^cols / rowlattice(matrix).
-
-    Returns None for infinite order.  Computed by comparing the torsion
-    orders of the cokernel before and after adjoining the vector as an extra
-    relation: quotienting by a cyclic subgroup of order q divides the torsion
-    order by exactly q.
-    """
-    base = smith_invariants(matrix)
-    row = IntMatrix.from_rows([vector], matrix.cols)._sparse  # checks the length
-    extended = smith_invariants(IntMatrix.from_sparse(matrix._sparse + row, matrix.cols))
-    if extended.rank > base.rank:
-        return None
-    torsion_before = math.prod(base.invariant_factors)
-    torsion_after = math.prod(extended.invariant_factors)
-    return torsion_before // torsion_after

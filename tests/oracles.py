@@ -1,5 +1,6 @@
 """Slow reference implementations that faster library code is tested against,
-and the element orders in the class group that the tests check.
+the element orders in the class group that the tests check, and the
+lattice computation behind the du Val saturation lemma.
 
 Nothing under ``src/`` imports this module.
 """
@@ -7,13 +8,14 @@ Nothing under ``src/`` imports this module.
 import heapq
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from tricl.classgroup import grading_matrix
 from tricl.coxring import total_coordinate_space
-from tricl.exactlinalg import IntMatrix, element_order_in_cokernel, hermite_basis, matrix_A
-from tricl.variety import RationalityClass, RationalityKind
+from tricl.exactlinalg import IntMatrix, SparseRow, _Rows, smith_invariants
+from tricl.variety import RationalityClass, RationalityKind, adjust
 
 
 def _block_key(block, original_index):
@@ -619,6 +621,25 @@ def grading_rows_reference(kind: RationalityClass, cox) -> IntMatrix:
     return IntMatrix.from_rows(rows, cox.n_prime)
 
 
+
+def element_order_in_cokernel(matrix: IntMatrix, vector: Sequence[int]) -> Optional[int]:
+    """Order of the class of `vector` in Z^cols / rowlattice(matrix).
+
+    Returns None for infinite order.  Computed by comparing the torsion
+    orders of the cokernel before and after adjoining the vector as an extra
+    relation: quotienting by a cyclic subgroup of order q divides the torsion
+    order by exactly q.
+    """
+    base = smith_invariants(matrix)
+    row = IntMatrix.from_rows([vector], matrix.cols)._sparse  # checks the length
+    extended = smith_invariants(IntMatrix.from_sparse(matrix._sparse + row, matrix.cols))
+    if extended.rank > base.rank:
+        return None
+    torsion_before = math.prod(base.invariant_factors)
+    torsion_after = math.prod(extended.invariant_factors)
+    return torsion_before // torsion_after
+
+
 def leading_class_order(variety, exponents) -> Optional[int]:
     """Order in the class group of the class of sum_j exponents[j] D_{0j,1}.
 
@@ -658,3 +679,103 @@ def matrix_B_reference(k: int, exponents, frak_l: int) -> IntMatrix:
         rows.append(row)
     rows.append([x // frak_l for x in l] * k)
     return IntMatrix.from_rows(rows, k * n)
+
+
+def matrix_A(k: int, exponents: Sequence[int]) -> IntMatrix:
+    """The (k + n) x (k n) relation block for n = len(exponents).
+
+    The first k rows place one copy of the exponent vector on each column
+    block; the last n rows are k horizontal copies of the n x n identity.
+    Its rank is n - 1 + k and its top determinantal divisor divides
+    gcd(exponents)^(k-1).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    l = tuple(map(operator.index, exponents))
+    if not l or any(x < 1 for x in l):
+        raise ValueError("exponent vector must be nonempty with positive entries")
+    n = len(l)
+    rows = [[0] * (t * n) + list(l) + [0] * ((k - 1 - t) * n) for t in range(k)]
+    rows += [[int(i == j) for i in range(n)] * k for j in range(n)]
+    return IntMatrix.from_rows(rows, k * n)
+
+
+def matrix_B(k: int, exponents: Sequence[int], frak_l: int) -> IntMatrix:
+    """Variant of `matrix_A` with the identity rows replaced by one row.
+
+    The first k rows are those of `matrix_A`; the single last row holds k
+    horizontal copies of exponents/frak_l, so the result has k + 1 rows.
+    `frak_l` must divide every exponent.
+    """
+    a = matrix_A(k, exponents)
+    l = a.row(0)[: a.cols // k]  # the checked exponent vector
+    if frak_l < 1 or any(x % frak_l for x in l):
+        raise ValueError(f"{frak_l} does not divide all of {l}")
+    n = len(l)
+    last = {t * n + j: x // frak_l for t in range(k) for j, x in enumerate(l)}
+    return IntMatrix.from_sparse(a._sparse[:k] + (last,), a.cols)
+
+
+def hermite_basis(matrix: IntMatrix) -> IntMatrix:
+    """Canonical basis of the row lattice of `matrix` (row-style Hermite form).
+
+    The returned rows are in echelon form with positive pivots and entries
+    above each pivot reduced into [0, pivot); zero rows are dropped, so equal
+    lattices yield equal bases.  Column indexes find the rows each
+    remainder step touches.
+    """
+    work = _Rows(dict(row) for row in matrix._sparse)
+    basis = _Rows([])
+    for j in sorted(work.where):
+        holders = work.where[j]
+        while len(holders) > 1:
+            p = min(holders, key=lambda t: (abs(work.rows[t][j]), len(work.rows[t]), t))
+            for t in list(holders):
+                if t != p and (q := work.rows[t][j] // work.rows[p][j]):
+                    work.subtract(t, q, work.rows[p])
+        if holders:
+            row = work.remove(next(iter(holders)))
+            if row[j] < 0:
+                row = {k: -x for k, x in row.items()}
+            for i in list(basis.where.get(j, ())):
+                if q := basis.rows[i][j] // row[j]:
+                    basis.subtract(i, q, row)
+            basis.append(row)
+    return IntMatrix.from_sparse(basis.rows, matrix.cols)
+
+
+def is_saturated_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:
+    """True iff rowlattice(sub) lies in rowlattice(sup) with torsion-free quotient.
+
+    The rows of `sub` (no basis needed) are expressed integrally in the
+    Hermite basis of the superlattice; saturation means all Smith invariant
+    factors of those coordinate rows equal 1.  Containment failure returns
+    False rather than raising.  The zero lattice is saturated in anything.
+    """
+    if sub.cols != sup.cols:
+        raise ValueError("lattices live in different ambient spaces")
+    basis = hermite_basis(sup)._sparse
+    work = _Rows(dict(row) for row in sub._sparse)
+    expression: list[SparseRow] = [{} for _ in work.rows]
+    # In echelon order: a basis row changes no column left of its pivot, so
+    # each pivot column is reduced once, in every row at the same time.
+    for i, row in enumerate(basis):
+        j = min(row)
+        for t in list(work.where.get(j, ())):
+            expression[t][i] = q = work.rows[t][j] // row[j]
+            work.subtract(t, q, row)
+    if any(work.rows):  # a remainder is left: sub is not inside sup
+        return False
+    data = smith_invariants(IntMatrix.from_sparse(expression, len(basis)))
+    return all(f == 1 for f in data.invariant_factors)
+
+
+def duval_saturation_by_lattice(variety) -> bool:
+    """`DuvalDiagram.saturation_ok` by lattice algebra: for every TCS block
+    with c(i) = k copies of l, `matrix_B(k, l, gcd(l))` is saturated in
+    `matrix_A(k, l)`."""
+    cox = total_coordinate_space(adjust(variety)[0])
+    return all(
+        is_saturated_sublattice(matrix_B(k, l, math.gcd(*l)), matrix_A(k, l))
+        for k, (l, *_) in zip(cox.c, cox.tcs_blocks)
+    )

@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from oracles import cyclic_subgroup_order, determinantal_divisor, relation_degree_order
+from oracles import cyclic_subgroup_order, determinantal_divisor, matrix_A, relation_degree_order
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
     GroupMethod,
@@ -28,11 +28,7 @@ from tricl.coxring import (
     is_hyperplatonic,
     iterate_cox_rings,
 )
-from tricl.exactlinalg import (
-    FgAbelianGroup,
-    matrix_A,
-    smith_invariants,
-)
+from tricl.exactlinalg import FgAbelianGroup, smith_invariants
 from tricl.type1 import (
     Type1Variety,
     adjust_type1,

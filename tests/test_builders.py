@@ -1,9 +1,10 @@
 """The block-data builders against their row-by-row references.
 
-The P1 matrix of the total coordinate space, `grading_matrix` and
-`matrix_B` must equal, entry for entry, the explicit constructions kept in
-`oracles.py`, on every case-II and case-III multiset of the criterion-9
-enumeration and on every ladder point.
+The P1 matrix of the total coordinate space and `grading_matrix` must
+equal, entry for entry, the explicit constructions kept in `oracles.py`, on
+every case-II and case-III multiset of the criterion-9 enumeration and on
+every ladder point.  The sparse `matrix_B` of the du Val saturation oracle
+must equal its dense construction there too.
 """
 
 import math
@@ -11,10 +12,9 @@ import math
 import pytest
 
 import make_golden
-from oracles import grading_rows_reference, matrix_B_reference, p1_rows_reference
+from oracles import grading_rows_reference, matrix_B, matrix_B_reference, p1_rows_reference
 from tricl.classgroup import grading_matrix
 from tricl.coxring import total_coordinate_space
-from tricl.exactlinalg import matrix_B
 from tricl.variety import RationalityKind, TrinomialVariety, adjust, rationality_class
 
 NON_FACTORIAL = (RationalityKind.CASE_II, RationalityKind.CASE_III)

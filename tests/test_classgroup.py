@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from oracles import block_diagonal, cyclic_subgroup_order, relation_degree_order
+from oracles import block_diagonal, cyclic_subgroup_order, matrix_A, relation_degree_order
 from tricl import coxring
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
@@ -28,7 +28,7 @@ from tricl.errors import (
     NotRationalError,
     ResourceLimitError,
 )
-from tricl.exactlinalg import FgAbelianGroup, IntMatrix, cokernel, matrix_A
+from tricl.exactlinalg import FgAbelianGroup, IntMatrix, cokernel
 from tricl.variety import MAX_N_PRIME, TrinomialVariety
 
 V = TrinomialVariety

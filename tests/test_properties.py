@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import relation_degree_order
+from oracles import duval_saturation_by_lattice, relation_degree_order
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
     class_group_formula,
@@ -104,6 +104,7 @@ class TestIterationProperties:
             if triple.ade_label != "Smooth":
                 assert diagram.verified
                 assert diagram.xprime_triple.as_tuple() != () and diagram.saturation_ok
+            assert diagram.saturation_ok == duval_saturation_by_lattice(variety)
 
 
 class TestPipelineRobustness:
