@@ -359,17 +359,11 @@ def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
         or (y_tcs.is_degenerate and xprime_triple.c == 1)
     )
 
-    gcds = adjusted.block_gcds()
+    scaled = [[e // g for e in block] for block, g in zip(adjusted.blocks, adjusted.block_gcds())]
     offsets = _block_offsets(adjusted.blocks)
-    p_tilde_rows = []
-    generators = []
-    for i, block in enumerate(adjusted.blocks):
-        row = [0] * adjusted.n
-        scaled = [e // gcds[i] for e in block]
-        row[offsets[i] : offsets[i] + len(block)] = scaled
-        p_tilde_rows.append(row)
-        generators.append(_monomial(i, scaled))
-    p_tilde = IntMatrix.from_rows(p_tilde_rows, adjusted.n)
+    p_tilde = IntMatrix.from_sparse(
+        [{o + j: x for j, x in enumerate(s)} for o, s in zip(offsets, scaled)], adjusted.n
+    )
 
     saturation_ok = all(
         _quotient_torsion(copies[0], math.gcd(*copies[0])) == 1 for copies in cox.tcs_blocks
@@ -382,6 +376,6 @@ def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
         yprime,
         verified,
         p_tilde,
-        tuple(generators),
+        tuple(_monomial(i, s) for i, s in enumerate(scaled)),
         saturation_ok,
     )

@@ -190,15 +190,11 @@ class _Rows:
     None, and its id is not reused."""
 
     def __init__(self, rows: Iterable[SparseRow]) -> None:
-        self.rows: list[Optional[SparseRow]] = []
+        self.rows: list[Optional[SparseRow]] = list(rows)
         self.where: defaultdict[int, set[int]] = defaultdict(set)
-        for row in rows:
-            self.append(row)
-
-    def append(self, row: SparseRow) -> None:
-        for j in row:
-            self.where[j].add(len(self.rows))
-        self.rows.append(row)
+        for i, row in enumerate(self.rows):
+            for j in row:
+                self.where[j].add(i)
 
     def remove(self, i: int) -> SparseRow:
         row, self.rows[i] = self.rows[i], None

@@ -2,6 +2,10 @@
 the element orders in the class group that the tests check, and the
 lattice computation behind the du Val saturation lemma.
 
+There is one of each lattice routine (`hermite_basis`, `matrix_B`,
+`quotient_torsion_order`), written against the public `IntMatrix` API
+only, so they share no row store with the Smith engine they help check.
+
 Nothing under ``src/`` imports this module.
 """
 
@@ -14,7 +18,7 @@ from typing import Optional, Sequence
 
 from tricl.classgroup import grading_matrix
 from tricl.coxring import total_coordinate_space
-from tricl.exactlinalg import IntMatrix, SparseRow, _Rows, smith_invariants
+from tricl.exactlinalg import IntMatrix, smith_invariants
 from tricl.variety import RationalityClass, RationalityKind, adjust
 
 
@@ -339,7 +343,7 @@ def eliminate_exact_reference(rows: list[dict]) -> tuple[list[int], list[dict]]:
     cost, column, row) gives the next pivot, an entry of a row not yet
     pivoted on that equals its column gcd up to sign, in the shortest such
     row, then the first.  It keeps its own column index and row updates, so
-    a fault in the engine's `_Rows` shows as a different result.  Returns
+    a fault in the engine's row store shows as a different result.  Returns
     the split-off orders and the rows left; consumes `rows`.
     """
     rows = list(rows)
@@ -454,8 +458,13 @@ def chain_pairwise(factors) -> tuple[int, ...]:
     return tuple(f for f in fs if f > 1)
 
 
-def hermite_reference(matrix: IntMatrix) -> IntMatrix:
-    """Row-style Hermite basis by dense column-by-column remainder steps."""
+def hermite_basis(matrix: IntMatrix) -> IntMatrix:
+    """Canonical basis of the row lattice of `matrix` (row-style Hermite form).
+
+    The returned rows are in echelon form with positive pivots and entries
+    above each pivot reduced into [0, pivot); zero rows are dropped, so equal
+    lattices yield equal bases.  Dense column-by-column remainder steps.
+    """
     work = _to_rows(matrix)
     rows, cols = matrix.rows, matrix.cols
     r = 0
@@ -542,16 +551,6 @@ def coordinates_in_lattice(basis: IntMatrix, vector) -> Optional[tuple[int, ...]
     return tuple(coords)
 
 
-def is_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:
-    """True iff the row lattice of `sub` is contained in that of `sup`."""
-    if sub.cols != sup.cols:
-        raise ValueError("lattices live in different ambient spaces")
-    basis = hermite_basis(sup)
-    return all(
-        coordinates_in_lattice(basis, sub.row(i)) is not None for i in range(sub.rows)
-    )
-
-
 def p1_rows_reference(variety) -> IntMatrix:
     """The scaled exponent matrix, built row by row from the block offsets.
 
@@ -631,8 +630,8 @@ def element_order_in_cokernel(matrix: IntMatrix, vector: Sequence[int]) -> Optio
     order by exactly q.
     """
     base = smith_invariants(matrix)
-    row = IntMatrix.from_rows([vector], matrix.cols)._sparse  # checks the length
-    extended = smith_invariants(IntMatrix.from_sparse(matrix._sparse + row, matrix.cols))
+    rows = [matrix.row(i) for i in range(matrix.rows)] + [vector]
+    extended = smith_invariants(IntMatrix.from_rows(rows, matrix.cols))  # checks the length
     if extended.rank > base.rank:
         return None
     torsion_before = math.prod(base.invariant_factors)
@@ -659,26 +658,6 @@ def relation_degree_order(variety) -> Optional[int]:
 def cyclic_subgroup_order(variety, y: int) -> Optional[int]:
     """Order of the class of sum_j (l_0j / y) D_{0j,1}, for y dividing L0."""
     return leading_class_order(variety, [e // y for e in variety.blocks[0]])
-
-
-def matrix_B_reference(k: int, exponents, frak_l: int) -> IntMatrix:
-    """k rows with one copy of the exponent vector per column block, then
-    one row of k copies of exponents/frak_l."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    l = tuple(int(x) for x in exponents)
-    if not l or any(x < 1 for x in l):
-        raise ValueError("exponent vector must be nonempty with positive entries")
-    if frak_l < 1 or any(x % frak_l for x in l):
-        raise ValueError(f"{frak_l} does not divide all of {l}")
-    n = len(l)
-    rows = []
-    for t in range(k):
-        row = [0] * (k * n)
-        row[t * n : (t + 1) * n] = list(l)
-        rows.append(row)
-    rows.append([x // frak_l for x in l] * k)
-    return IntMatrix.from_rows(rows, k * n)
 
 
 def matrix_A(k: int, exponents: Sequence[int]) -> IntMatrix:
@@ -711,63 +690,32 @@ def matrix_B(k: int, exponents: Sequence[int], frak_l: int) -> IntMatrix:
     l = a.row(0)[: a.cols // k]  # the checked exponent vector
     if frak_l < 1 or any(x % frak_l for x in l):
         raise ValueError(f"{frak_l} does not divide all of {l}")
-    n = len(l)
-    last = {t * n + j: x // frak_l for t in range(k) for j, x in enumerate(l)}
-    return IntMatrix.from_sparse(a._sparse[:k] + (last,), a.cols)
+    rows = [a.row(t) for t in range(k)] + [[x // frak_l for x in l] * k]
+    return IntMatrix.from_rows(rows, a.cols)
 
 
-def hermite_basis(matrix: IntMatrix) -> IntMatrix:
-    """Canonical basis of the row lattice of `matrix` (row-style Hermite form).
+def quotient_torsion_order(sub: IntMatrix, sup: IntMatrix) -> Optional[int]:
+    """Order of the torsion of rowlattice(sup) / rowlattice(sub), or None
+    when rowlattice(sub) is not inside rowlattice(sup).
 
-    The returned rows are in echelon form with positive pivots and entries
-    above each pivot reduced into [0, pivot); zero rows are dropped, so equal
-    lattices yield equal bases.  Column indexes find the rows each
-    remainder step touches.
-    """
-    work = _Rows(dict(row) for row in matrix._sparse)
-    basis = _Rows([])
-    for j in sorted(work.where):
-        holders = work.where[j]
-        while len(holders) > 1:
-            p = min(holders, key=lambda t: (abs(work.rows[t][j]), len(work.rows[t]), t))
-            for t in list(holders):
-                if t != p and (q := work.rows[t][j] // work.rows[p][j]):
-                    work.subtract(t, q, work.rows[p])
-        if holders:
-            row = work.remove(next(iter(holders)))
-            if row[j] < 0:
-                row = {k: -x for k, x in row.items()}
-            for i in list(basis.where.get(j, ())):
-                if q := basis.rows[i][j] // row[j]:
-                    basis.subtract(i, q, row)
-            basis.append(row)
-    return IntMatrix.from_sparse(basis.rows, matrix.cols)
-
-
-def is_saturated_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:
-    """True iff rowlattice(sub) lies in rowlattice(sup) with torsion-free quotient.
-
-    The rows of `sub` (no basis needed) are expressed integrally in the
-    Hermite basis of the superlattice; saturation means all Smith invariant
-    factors of those coordinate rows equal 1.  Containment failure returns
-    False rather than raising.  The zero lattice is saturated in anything.
+    The coordinates of the rows of `sub` (no basis needed) in the Hermite
+    basis of `sup` present the quotient, so the order is the product of
+    their Smith invariant factors.
     """
     if sub.cols != sup.cols:
         raise ValueError("lattices live in different ambient spaces")
-    basis = hermite_basis(sup)._sparse
-    work = _Rows(dict(row) for row in sub._sparse)
-    expression: list[SparseRow] = [{} for _ in work.rows]
-    # In echelon order: a basis row changes no column left of its pivot, so
-    # each pivot column is reduced once, in every row at the same time.
-    for i, row in enumerate(basis):
-        j = min(row)
-        for t in list(work.where.get(j, ())):
-            expression[t][i] = q = work.rows[t][j] // row[j]
-            work.subtract(t, q, row)
-    if any(work.rows):  # a remainder is left: sub is not inside sup
-        return False
-    data = smith_invariants(IntMatrix.from_sparse(expression, len(basis)))
-    return all(f == 1 for f in data.invariant_factors)
+    basis = hermite_basis(sup)
+    coordinates = [coordinates_in_lattice(basis, sub.row(i)) for i in range(sub.rows)]
+    if None in coordinates:
+        return None
+    data = smith_invariants(IntMatrix.from_rows(coordinates, basis.rows))
+    return math.prod(data.invariant_factors)
+
+
+def is_saturated_sublattice(sub: IntMatrix, sup: IntMatrix) -> bool:
+    """True iff rowlattice(sub) lies in rowlattice(sup) with torsion-free
+    quotient.  The zero lattice is saturated in anything."""
+    return quotient_torsion_order(sub, sup) == 1
 
 
 def duval_saturation_by_lattice(variety) -> bool:

@@ -9,6 +9,7 @@ from oracles import block_diagonal, cyclic_subgroup_order, matrix_A, relation_de
 from tricl import coxring
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
+    ClassGroupPredicates,
     GroupMethod,
     IsolatedSingularityCase,
     class_group_formula,
@@ -29,7 +30,7 @@ from tricl.errors import (
     ResourceLimitError,
 )
 from tricl.exactlinalg import FgAbelianGroup, IntMatrix, cokernel
-from tricl.variety import MAX_N_PRIME, TrinomialVariety
+from tricl.variety import MAX_N_PRIME, TrinomialVariety, rationality_class
 
 V = TrinomialVariety
 G = FgAbelianGroup
@@ -221,6 +222,25 @@ class TestPredicates:
         # coprime torsion orders combine into one cyclic factor when c = 2
         result = predicates(V([[2], [2], [3], [5]]))
         assert result.cyclic == G(0, (15,))
+
+    def test_both_ways_against_the_snf_route(self, enumeration_corpus):
+        """Each predicate holds iff the group of `class_group_snf`, which
+        `predicates` never calls, has its shape; factorial varieties, which
+        have no grading matrix, get the trivial group.  A fixed stride of
+        5 over the non-factorial rational varieties bounds the run time."""
+        kinds = [(v, rationality_class(v)) for v, _ in enumeration_corpus]
+        factorial = [v for v, kind in kinds if kind.is_factorial]
+        others = [v for v, kind in kinds if kind.is_rational and not kind.is_factorial][::5]
+        cases = [(v, G(0, ())) for v in factorial] + [(v, class_group_snf(v)) for v in others]
+        for variety, group in cases:
+            expected = ClassGroupPredicates(
+                group.is_free,
+                group.is_finite,
+                group if group.is_nontrivial_finite_cyclic else None,
+                group.order() == 2,
+            )
+            assert predicates(variety) == expected, variety.blocks
+        assert len(factorial) > 1000 and len(others) > 1000
 
 
 class TestIsolatedSingularity:

@@ -8,13 +8,11 @@ import pytest
 
 import make_golden
 from oracles import (
-    coordinates_in_lattice,
     duval_saturation_by_lattice,
-    hermite_basis,
     hyperplatonic_reference,
-    is_saturated_sublattice,
     matrix_A,
     matrix_B,
+    quotient_torsion_order,
 )
 from test_variety import criterion_9_multisets
 from tricl.classgroup import class_group_formula
@@ -36,7 +34,7 @@ from tricl.errors import (
     NotHyperplatonicError,
     NotRationalError,
 )
-from tricl.exactlinalg import FgAbelianGroup, IntMatrix, cokernel
+from tricl.exactlinalg import FgAbelianGroup, IntMatrix
 from tricl.variety import TrinomialVariety, adjust
 
 V = TrinomialVariety
@@ -342,18 +340,9 @@ class TestDuvalDiagram:
         assert diagram.verified
 
 
-def _lattice_quotient_torsion(k, l, frak_l) -> int:
-    """Order of the torsion of rowlattice(matrix_A) / rowlattice(matrix_B):
-    the coordinates of B's rows in the Hermite basis of A present it."""
-    basis = hermite_basis(matrix_A(k, l))
-    sub = matrix_B(k, l, frak_l)
-    coordinates = [coordinates_in_lattice(basis, sub.row(i)) for i in range(sub.rows)]
-    return cokernel(IntMatrix.from_rows(coordinates, basis.rows)).torsion_part().order()
-
-
 def test_saturation_lemma_matches_the_lattice_computation():
     """`DuvalDiagram.saturation_ok` is read off the lemma that A/B has
-    torsion Z/(gcd(l) / frak_l); the lattice computation is the oracle, for
+    torsion Z/(gcd(l) / frak_l); the lattice-quotient oracle checks it, for
     every divisor frak_l of gcd(l)."""
     rng = random.Random(20261019)
     saturated = unsaturated = 0
@@ -363,10 +352,10 @@ def test_saturation_lemma_matches_the_lattice_computation():
         l = tuple(g * rng.randint(1, 6) for _ in range(n))
         gcd = math.gcd(*l)
         for frak_l in (d for d in range(1, gcd + 1) if gcd % d == 0):
-            torsion = _quotient_torsion(l, frak_l)
-            assert torsion == _lattice_quotient_torsion(k, l, frak_l), (k, l, frak_l)
-            is_saturated = is_saturated_sublattice(matrix_B(k, l, frak_l), matrix_A(k, l))
-            assert is_saturated == (torsion == 1) == (frak_l == gcd), (k, l, frak_l)
+            torsion = quotient_torsion_order(matrix_B(k, l, frak_l), matrix_A(k, l))
+            assert torsion == _quotient_torsion(l, frak_l), (k, l, frak_l)
+            is_saturated = torsion == 1
+            assert is_saturated == (frak_l == gcd), (k, l, frak_l)
             saturated += is_saturated
             unsaturated += not is_saturated
     assert saturated == 400 and unsaturated > 400

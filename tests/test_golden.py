@@ -2,8 +2,11 @@
 
 `tests/golden/cli.jsonl` was written by `tests/make_golden.py`; any change
 to an output of ``report --method both``, ``coxring`` or ``duval`` on those
-inputs fails here.
+inputs fails here.  A report also round-trips through its adjusted form.
 """
+
+import json
+import random
 
 import make_golden
 
@@ -14,3 +17,35 @@ def test_cli_output_matches_golden():
     assert len(actual) == len(expected)
     for line, (got, want) in enumerate(zip(actual, expected), start=1):
         assert got == want, f"golden line {line} differs"
+
+
+def _seeded_trinomial_inputs(count):
+    rng = random.Random(20261019)
+    for k in range(count):
+        blocks = [
+            [rng.randint(1, 9) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(0, 6))
+        ]
+        yield f"seeded-{k}", {"kind": "trinomial", "blocks": blocks, "m": rng.randint(0, 2)}
+
+
+def test_report_round_trips_through_its_adjusted_form(tmp_path):
+    """Fed back in, `adjusted.blocks` and `m` need no permutation or
+    elimination, and give the same report outside the input echo."""
+    command = ("report", "--method", "both")
+
+    def report(name, spec):
+        record = make_golden.run(name, spec, command, tmp_path)
+        assert record["exit_code"] == 0, name
+        return json.loads(record["stdout"])
+
+    for name, spec in make_golden.inputs() + list(_seeded_trinomial_inputs(600)):
+        first = report(name, spec)
+        blocks, m = first["adjusted"]["blocks"], first["adjusted"]["m"]
+        second = report(f"{name}-again", {"kind": "trinomial", "blocks": blocks, "m": m})
+        adjusted = second["adjusted"]
+        assert adjusted["permutation"] == list(range(len(blocks))), name
+        assert adjusted["eliminated_blocks"] == [] and adjusted["blocks"] == blocks, name
+        for echo in ("input", "file", "adjusted"):
+            del first[echo], second[echo]
+        assert second == first, name
