@@ -6,10 +6,13 @@ Run from the repository root:
 
 It rewrites ``tests/golden/cli.jsonl``: one line per (input, command), holding
 the exit code and the exact ``--format json`` stdout and stderr of
-``tricl.cli.main`` for ``report --method both``, ``coxring`` and ``duval``.
-The inputs are the trinomial blocks of the selftest corpus, the case-III
-chain from 3 to 17 blocks, the case-II ladders, one input with free
-variables and four degenerate inputs.  Regenerate only when an output is meant to change.  Standard library only.
+``tricl.cli.main``.  Trinomial inputs run ``report --method both``,
+``coxring`` and ``duval``: the trinomial blocks of the selftest corpus, the
+case-III chain from 3 to 17 blocks, the case-II ladders, one input with free
+variables and four degenerate inputs.  Type 1 inputs run
+``type1-classgroup`` and ``adjust``: the Type 1 blocks of the selftest
+corpus, three degenerate inputs and a fixed seeded set with free variables.
+Regenerate only when an output is meant to change.  Standard library only.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +30,7 @@ from tricl.cli import main as cli_main
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
 
 COMMANDS = (("report", "--method", "both"), ("coxring",), ("duval",))
+TYPE1_COMMANDS = (("type1-classgroup",), ("adjust",))
 
 _PRIMES = (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -68,6 +73,26 @@ def inputs() -> list[tuple[str, dict]]:
     return [(name, {"kind": "trinomial", **spec}) for name, spec in out]
 
 
+def type1_inputs() -> list[tuple[str, dict]]:
+    """(name, input file content) for every golden Type 1 input."""
+    out = [
+        ("type1-plane-curve", {"blocks": [[2], [2]]}),
+        ("type1-rank-one", {"blocks": [[2], [1, 1]]}),
+        ("type1-not-fg", {"blocks": [[3], [3]]}),
+        ("type1-degenerate-empty", {"blocks": []}),
+        ("type1-degenerate-one", {"blocks": [[2]]}),
+        ("type1-degenerate-linear", {"blocks": [[1], [1]]}),
+    ]
+    rng = random.Random(18)
+    for k in range(16):
+        blocks = [
+            [rng.choice((1, 1, 2, 2, 3, 4, 6)) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(2, 5))
+        ]
+        out.append((f"type1-seeded-{k}", {"blocks": blocks, "m": rng.randint(1, 3)}))
+    return [(name, {"kind": "type1", **spec}) for name, spec in out]
+
+
 def run(name: str, spec: dict, command: tuple[str, ...], workdir: Path) -> dict:
     """One golden record: the CLI's exit code and output for one input.
 
@@ -93,9 +118,11 @@ def records() -> list[str]:
     """Every golden record as one JSON line, in file order."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, spec in inputs():
-            for command in COMMANDS:
-                lines.append(json.dumps(run(name, spec, command, Path(tmp)), sort_keys=True))
+        for corpus, commands in ((inputs(), COMMANDS), (type1_inputs(), TYPE1_COMMANDS)):
+            for name, spec in corpus:
+                for command in commands:
+                    record = run(name, spec, command, Path(tmp))
+                    lines.append(json.dumps(record, sort_keys=True))
     return lines
 
 

@@ -1,8 +1,9 @@
 """The CLI's JSON output on a fixed corpus, compared line for line.
 
 `tests/golden/cli.jsonl` was written by `tests/make_golden.py`; any change
-to an output of ``report --method both``, ``coxring`` or ``duval`` on those
-inputs fails here.  A report also round-trips through its adjusted form.
+to an output of ``report --method both``, ``coxring`` or ``duval`` on its
+trinomial inputs, or of ``type1-classgroup`` or ``adjust`` on its Type 1
+inputs, fails here.  A report also round-trips through its adjusted form.
 """
 
 import json
