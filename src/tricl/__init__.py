@@ -80,7 +80,6 @@ from .type1 import (
     Type1Variety,
     adjust_type1,
     class_group_type1,
-    is_adjusted_type1,
     lift_to_type2,
     type1_n_tilde,
 )

@@ -333,8 +333,8 @@ def class_group_report(
     if not kind.is_rational:
         return ClassGroupReport(NOT_FINITELY_GENERATED, method, None, None, None)
     if kind.is_factorial:
-        rank = rank_formula(variety)
-        return ClassGroupReport(TRIVIAL_GROUP, method, 0, (rank, rank), TRIVIAL_GROUP)
+        # Its own total coordinate space with every c(i) = 1: both ranks are 0.
+        return ClassGroupReport(TRIVIAL_GROUP, method, 0, (0, 0), TRIVIAL_GROUP)
 
     formula = class_group_formula(variety) if method is not GroupMethod.SNF else None
     snf = class_group_snf(variety) if method is not GroupMethod.FORMULA else None

@@ -312,13 +312,12 @@ class DuvalDiagram:
     of the exponent vector l (n entries) and for frak_l = gcd(l), the
     lattice B of the k monomial rows and the row of k copies of l / frak_l
     is saturated in the lattice A of the relation block A(k, l): its k
-    monomial rows and n identity-sum rows s_j.  It is computed from a
-    lemma, not by lattice algebra.  The k + n rows of A satisfy exactly one
+    monomial rows and n identity-sum rows s_j.  It is the constant a lemma
+    gives, not lattice algebra.  The k + n rows of A satisfy exactly one
     relation, generated by the primitive vector (1^k, -l), and B is spanned
     by the monomial rows and sum_j (l_j / frak_l) s_j.  So A/B is
     Z^n / <l / frak_l>, whose torsion is Z/(gcd(l) / frak_l): B is
-    saturated in A exactly when frak_l = gcd(l), which holds for every
-    input.
+    saturated in A exactly when frak_l = gcd(l), true for every input.
     """
 
     x_triple: PlatonicTriple
@@ -329,12 +328,6 @@ class DuvalDiagram:
     p_tilde: IntMatrix
     veronese_generators: tuple[str, ...]
     saturation_ok: bool
-
-
-def _quotient_torsion(exponents: Sequence[int], frak_l: int) -> int:
-    """Order of the torsion of A/B in the `DuvalDiagram` lemma, for every
-    number of copies k: gcd(l) / frak_l, where frak_l divides gcd(l)."""
-    return math.gcd(*exponents) // frak_l
 
 
 def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
@@ -365,10 +358,6 @@ def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
         [{o + j: x for j, x in enumerate(s)} for o, s in zip(offsets, scaled)], adjusted.n
     )
 
-    saturation_ok = all(
-        _quotient_torsion(copies[0], math.gcd(*copies[0])) == 1 for copies in cox.tcs_blocks
-    )
-
     return DuvalDiagram(
         x_triple,
         xprime_triple,
@@ -377,5 +366,5 @@ def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
         verified,
         p_tilde,
         tuple(_monomial(i, s) for i, s in enumerate(scaled)),
-        saturation_ok,
+        True,  # the saturation lemma with frak_l = gcd(l); see DuvalDiagram
     )

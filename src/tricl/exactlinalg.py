@@ -320,36 +320,28 @@ def _rank_and_minor(rows: list[SparseRow]) -> tuple[int, int]:
     """Rank of `rows` and a nonzero rank x rank minor, made positive.
 
     Fraction-free (Bareiss) elimination: after k pivots every entry is a
-    (k+1)-minor, so the last pivot is a rank x rank minor.  Rows the pivot
-    column misses are scaled lazily: a row stored at step g holds its
-    step-k value times pivots[g] / pivots[k].  Only the rows in the pivot
-    column are touched, in place.  `rows` is left as it was.
+    (k+1)-minor, so the last pivot is a rank x rank minor.  Each pivot p
+    scales every live row by p, clears the pivot column and divides by the
+    previous pivot, which divides exactly.  `rows` is left as it was.
     """
     work = _Rows(dict(row) for row in rows)
-    tags = [0] * len(work.rows)
     pivots = [1]
     while (i := work.pivot_row(-1)) >= 0:
-        k = len(pivots) - 1
-        prev = pivots[k]
+        prev = pivots[-1]
         c = work.pivot_column(i, -1)
         pivot_row = work.remove(i)
-        stored = pivots[tags[i]]
-        if stored != prev:
-            pivot_row = {j: x * prev // stored for j, x in pivot_row.items()}
         p = pivot_row[c]
         if p < 0:  # negating a row changes neither the lattice nor |minor|
             p = -p
             pivot_row = {j: -x for j, x in pivot_row.items()}
-        for t in list(work.where[c]):
-            row = work.rows[t]
-            stored = pivots[tags[t]]
-            for j, x in row.items():
-                row[j] = x * prev // stored * p if stored != prev else x * p
-            work.subtract(t, row[c] // p, pivot_row)
-            if prev != 1:
+        for t, row in enumerate(work.rows):
+            if row and c not in row:
+                work.rows[t] = {j: x * p // prev for j, x in row.items()}
+            elif row:
+                work.rows[t] = row = {j: x * p for j, x in row.items()}
+                work.subtract(t, row[c] // p, pivot_row)
                 for j, x in row.items():
                     row[j] = x // prev
-            tags[t] = k + 1
         pivots.append(p)
     return len(pivots) - 1, pivots[-1]
 

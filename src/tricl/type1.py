@@ -5,7 +5,8 @@ of rational varieties with a complexity-one torus action, but carry
 non-constant invariant functions.  Their class group is decided by the block
 gcds alone; the finitely generated cases lift to a trinomial variety with one
 extra leading block, which is how the computation reduces to the trinomial
-formulas.
+formulas.  A value caches its gcds, adjusted flag and c(i) as a trinomial one
+does, so `is_adjusted` and `require_adjusted` take either family.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .classgroup import NOT_FINITELY_GENERATED, ClassGroup, _free_rank
-from .errors import NotAdjustedError
 from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup
-from .variety import TrinomialVariety, _analysis, _check_fields, _coerce_fields, _derived
+from .variety import (
+    NOT_FINITELY_GENERATED, ClassGroup, TrinomialVariety, _analysis, _check_fields,
+    _coerce_fields, _derived, _free_rank, require_adjusted,
+)
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,18 @@ class Type1Variety:
     def _gcds(self) -> tuple[int, ...]:
         return tuple([math.gcd(*block) for block in self.blocks])
 
+    @_analysis
+    def _adjusted(self) -> bool:
+        gcds = self._gcds
+        descending = all(a >= b for a, b in zip(gcds, gcds[1:]))
+        return len(gcds) < 2 or (1,) not in self.blocks and descending
+
+    @_analysis
+    def _counts(self) -> tuple[int, ...]:
+        # c(1) = L2, c(2) = L1, c(i) = L1 L2 for i >= 3 (1-based block indices).
+        l1, l2 = self._gcds[:2]
+        return (l2, l1) + (l1 * l2,) * (len(self.blocks) - 2)
+
 
 def adjust_type1(variety: Type1Variety) -> Type1Variety:
     """Sort blocks by gcd descending and strip linear single-variable blocks.
@@ -67,37 +81,14 @@ def adjust_type1(variety: Type1Variety) -> Type1Variety:
         tuple([blocks[i] for i in order]),
         variety.m,
         _gcds=tuple([gcds[i] for i in order]),
+        _adjusted=True,
     )
 
 
-def is_adjusted_type1(variety: Type1Variety) -> bool:
-    if variety.is_degenerate:
-        return True
-    if any(block == (1,) for block in variety.blocks):
-        return False
-    gcds = variety.block_gcds()
-    return all(a >= b for a, b in zip(gcds, gcds[1:]))
-
-
-def require_adjusted_type1(variety: Type1Variety) -> Type1Variety:
-    if not is_adjusted_type1(variety):
-        raise NotAdjustedError(f"Type 1 variety with blocks {variety.blocks} is not adjusted")
-    return variety
-
-
-def type1_component_counts(variety: Type1Variety) -> tuple[int, ...]:
-    """c(1) = L2, c(2) = L1, c(i) = L1 L2 for i >= 3 (1-based block indices)."""
-    gcds = variety.block_gcds()
-    counts = [gcds[1], gcds[0]]
-    counts += [gcds[0] * gcds[1]] * (len(gcds) - 2)
-    return tuple(counts)
-
-
 def type1_n_tilde(variety: Type1Variety) -> int:
-    require_adjusted_type1(variety)
-    if variety.is_degenerate:
+    if require_adjusted(variety).is_degenerate:
         return 0
-    return _free_rank(type1_component_counts(variety), variety.blocks)
+    return _free_rank(variety._counts, variety.blocks)
 
 
 def class_group_type1(variety: Type1Variety) -> ClassGroup:
@@ -109,10 +100,9 @@ def class_group_type1(variety: Type1Variety) -> ClassGroup:
     with all later gcds 1, or L1 = L2 = 2 with all later gcds 1.  Everything
     else is not finitely generated.
     """
-    require_adjusted_type1(variety)
-    if variety.is_degenerate:
+    if require_adjusted(variety).is_degenerate:
         return TRIVIAL_GROUP
-    gcds = variety.block_gcds()
+    gcds = variety._gcds
     if all(g == 1 for g in gcds):
         return TRIVIAL_GROUP
     if gcds[0] > 1 and all(g == 1 for g in gcds[1:]):
@@ -130,7 +120,7 @@ def lift_to_type2(variety: Type1Variety) -> TrinomialVariety:
     complement of the leading coordinate hyperplane, so rationality and the
     finitely generated cases transfer.  Coefficients are generic.
     """
-    require_adjusted_type1(variety)
+    require_adjusted(variety)
     gcds = variety._gcds
     ell = math.lcm(*gcds) if gcds else 1
     return _derived(TrinomialVariety, ((ell,),) + variety.blocks, variety.m, _gcds=(ell,) + gcds)

@@ -363,8 +363,8 @@ def adjust(variety: TrinomialVariety) -> tuple[TrinomialVariety, AdjustmentRecor
     return adjusted, record
 
 
-def is_adjusted(variety: TrinomialVariety) -> bool:
-    """True iff the variety satisfies the adjusted-form conditions.
+def is_adjusted(variety) -> bool:
+    """True iff the variety, of either family, is in adjusted form.
 
     Any ordering meeting the gcd constraints counts; the tie-break used by
     `adjust` is not required.  Degenerate data is vacuously adjusted.
@@ -372,7 +372,7 @@ def is_adjusted(variety: TrinomialVariety) -> bool:
     return variety._adjusted
 
 
-def require_adjusted(variety: TrinomialVariety) -> TrinomialVariety:
+def require_adjusted(variety):
     if not variety._adjusted:
         raise NotAdjustedError(f"variety with blocks {variety.blocks} is not adjusted")
     return variety

@@ -106,6 +106,10 @@ class TestCompulsoryTorsion:
         with pytest.raises(FactorialInputError):
             compulsory_torsion(V([[2], [3], [5]]))
 
+    def test_degenerate_rejected(self):
+        with pytest.raises(FactorialInputError, match="degenerate data is an affine space"):
+            compulsory_torsion(V([[4], [2]]))
+
     def test_divides_full_group(self):
         for blocks in ([[4], [2], [2]], [[4], [2], [3, 3]], [[2], [2], [2], [3]]):
             v = V(blocks)
@@ -144,6 +148,10 @@ class TestGradingMatrix:
     def test_factorial_rejected(self):
         with pytest.raises(FactorialInputError):
             grading_matrix(V([[2], [3], [5]]))
+
+    def test_degenerate_rejected(self):
+        with pytest.raises(FactorialInputError, match="degenerate data is an affine space"):
+            grading_matrix(V([[4], [2]], m=1))
 
     def test_non_rational_rejected(self):
         with pytest.raises(NotRationalError):

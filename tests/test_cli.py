@@ -6,8 +6,11 @@ import time
 
 import pytest
 
+import tricl.classgroup
+import tricl.selftest
 from tricl import exactlinalg
 from tricl.cli import (
+    EXIT_INTERNAL_MISMATCH,
     EXIT_INVALID_INPUT,
     EXIT_NOT_ADMITTED,
     EXIT_NOT_FINITELY_GENERATED,
@@ -277,6 +280,33 @@ class TestSubcommands:
         assert code == EXIT_RESOURCE_LIMIT == 6
         failure = json.loads(err.splitlines()[0])
         assert failure["error_type"] == "MemoryError" and failure["exit_code"] == 6
+
+    def test_oracle_mismatch_exits_5(self, tmp_path, capsys, monkeypatch):
+        # The Smith route is made to disagree with the formula route.
+        monkeypatch.setattr(
+            tricl.classgroup, "class_group_snf", lambda variety: exactlinalg.FgAbelianGroup(7, ())
+        )
+        path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": [[4], [2], [3, 3]]})
+        code, out, err = run_cli(capsys, "--format", "json", "report", "--method", "both", path)
+        assert code == EXIT_INTERNAL_MISMATCH == 5 and out == ""
+        failure = json.loads(err)
+        assert failure["error_type"] == "OracleMismatchError" and failure["exit_code"] == 5
+        assert failure["error"].startswith("class group mismatch for blocks ((4,), (2,), (3, 3))")
+
+    def test_failing_selftest_case_exits_5(self, capsys, monkeypatch):
+        # A wrong Type 1 group fails exactly the three Type 1 cases.
+        monkeypatch.setattr(
+            tricl.selftest, "class_group_type1", lambda variety: exactlinalg.FgAbelianGroup(5, ())
+        )
+        failed = [result for result in tricl.selftest.run_selftest() if not result.ok]
+        assert [result.name for result in failed] == [
+            "type1-plane-curve", "type1-rank-one", "type1-not-fg"
+        ]
+        assert failed[0].detail == "AssertionError: got Z^5, expected 0"
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == EXIT_INTERNAL_MISMATCH
+        assert "FAIL type1-rank-one: AssertionError: got Z^5, expected Z" in out
+        assert "selftest: 15/18 passed" in out
 
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")

@@ -18,7 +18,6 @@ from test_variety import criterion_9_multisets
 from tricl.classgroup import class_group_formula
 from tricl.coxring import (
     PlatonicTriple,
-    _quotient_torsion,
     basic_platonic_triple,
     classify_chain_pattern,
     duval_diagram,
@@ -170,6 +169,11 @@ class TestHyperplatonic:
     def test_classify_rejects_non_platonic(self):
         with pytest.raises(ValueError):
             PlatonicTriple.classify((6, 4, 2))
+
+    def test_classify_rejects_a_triple_out_of_order(self):
+        for triple in ((2, 3, 4), (2, 2, 3), (2, 2, 0)):
+            with pytest.raises(ValueError, match="is not decreasing positive"):
+                PlatonicTriple.classify(triple)
 
     def test_classify_takes_integers_only(self):
         with pytest.raises(TypeError):
@@ -341,9 +345,9 @@ class TestDuvalDiagram:
 
 
 def test_saturation_lemma_matches_the_lattice_computation():
-    """`DuvalDiagram.saturation_ok` is read off the lemma that A/B has
-    torsion Z/(gcd(l) / frak_l); the lattice-quotient oracle checks it, for
-    every divisor frak_l of gcd(l)."""
+    """`DuvalDiagram.saturation_ok` is the constant given by the lemma that
+    A/B has torsion Z/(gcd(l) / frak_l); the lattice-quotient oracle checks
+    that closed form, for every divisor frak_l of gcd(l)."""
     rng = random.Random(20261019)
     saturated = unsaturated = 0
     for _ in range(400):
@@ -353,7 +357,7 @@ def test_saturation_lemma_matches_the_lattice_computation():
         gcd = math.gcd(*l)
         for frak_l in (d for d in range(1, gcd + 1) if gcd % d == 0):
             torsion = quotient_torsion_order(matrix_B(k, l, frak_l), matrix_A(k, l))
-            assert torsion == _quotient_torsion(l, frak_l), (k, l, frak_l)
+            assert torsion == gcd // frak_l, (k, l, frak_l)
             is_saturated = torsion == 1
             assert is_saturated == (frak_l == gcd), (k, l, frak_l)
             saturated += is_saturated

@@ -70,6 +70,8 @@ class TestIntMatrix:
             M([[1, 2], [3]])
         with pytest.raises(ValueError):
             M([])  # needs cols
+        with pytest.raises(ValueError, match="cols does not match the row length"):
+            M([[1, 2], [3, 4]], cols=3)
 
     def test_entries_must_be_integers(self):
         with pytest.raises(TypeError):
@@ -81,6 +83,8 @@ class TestIntMatrix:
     def test_empty_matrices(self):
         assert M([], cols=4).rows == 0
         assert M([], cols=0).entries == ()
+        assert str(M([], cols=4)) == "<empty 0x4 matrix>"
+        assert str(M([[], []])) == "<empty 2x0 matrix>"
 
     def test_accessors(self):
         a = M([[1, 2, 3], [4, 5, 6]])

@@ -14,11 +14,10 @@ from tricl.type1 import (
     Type1Variety,
     adjust_type1,
     class_group_type1,
-    is_adjusted_type1,
     lift_to_type2,
     type1_n_tilde,
 )
-from tricl.variety import adjust
+from tricl.variety import adjust, is_adjusted
 
 T = Type1Variety
 G = FgAbelianGroup
@@ -36,7 +35,7 @@ class TestAdjustType1:
     def test_wide_unit_block_is_kept(self):
         adjusted = adjust_type1(T([[2], [1, 1]]))
         assert adjusted.blocks == ((2,), (1, 1))
-        assert is_adjusted_type1(adjusted)
+        assert is_adjusted(adjusted)
 
     def test_validation(self):
         with pytest.raises(NonPositiveExponentError):
@@ -54,9 +53,9 @@ class TestAdjustType1:
             T([[2], [2], [3], [5]], theta=["1", "1/2", "1/2"])
 
     def test_is_adjusted(self):
-        assert not is_adjusted_type1(T([[2], [4]]))
-        assert is_adjusted_type1(T([[4], [2]]))
-        assert not is_adjusted_type1(T([[2], [1], [2]]))
+        assert not is_adjusted(T([[2], [4]]))
+        assert is_adjusted(T([[4], [2]]))
+        assert not is_adjusted(T([[2], [1], [2]]))
 
 
 class TestClassGroupType1:
@@ -75,6 +74,7 @@ class TestClassGroupType1:
     def test_degenerate(self):
         assert class_group_type1(T([[3]])).is_trivial
         assert class_group_type1(T([], m=2)).is_trivial
+        assert type1_n_tilde(T([[3, 6]])) == type1_n_tilde(T([], m=2)) == 0
 
     def test_requires_adjusted(self):
         with pytest.raises(NotAdjustedError):

@@ -274,7 +274,8 @@ class TestAdjustAgainstPairSearch:
 def analysis(value):
     """Every cached analysis field of a variety value."""
     if isinstance(value, Type1Variety):
-        return (value._gcds,)
+        counts = value._counts if len(value.blocks) >= 2 else None
+        return value._gcds, value._adjusted, counts
     counts = value._counts if len(value.blocks) >= 3 else None
     return value._gcds, value._adjusted, value._rationality, counts
 
@@ -329,6 +330,12 @@ class TestAnalysisAgainstReference:
     def test_adjust_hands_over_gcds_and_flag(self):
         adjusted, _ = adjust(V([[3], [4], [2]]))
         assert adjusted.__dict__["_gcds"] == (4, 2, 3)
+        assert adjusted.__dict__["_adjusted"] is True
+
+    def test_adjust_type1_hands_over_gcds_and_flag(self):
+        adjusted = adjust_type1(Type1Variety([[3], [1], [4, 2], [2]]))
+        assert adjusted.blocks == ((3,), (4, 2), (2,))
+        assert adjusted.__dict__["_gcds"] == (3, 2, 2)
         assert adjusted.__dict__["_adjusted"] is True
 
 
@@ -508,6 +515,11 @@ class TestExponentMatrix:
         assert exponent_matrix(V([[2, 4], [2], [2, 6]])) == IntMatrix.from_rows(
             [[-2, -4, 2, 0, 0], [-2, -4, 0, 2, 6]]
         )
+
+    def test_needs_two_blocks(self):
+        for blocks in ([], [[2, 3]]):
+            with pytest.raises(InvalidVarietyError, match="needs at least two blocks"):
+                exponent_matrix(V(blocks, m=1))
 
 
 class TestRenderRelations:
