@@ -6,9 +6,7 @@ import time
 
 import pytest
 
-import tricl.classgroup
-import tricl.selftest
-from tricl import exactlinalg
+from tricl import classgroup, exactlinalg, selftest
 from tricl.cli import (
     EXIT_INTERNAL_MISMATCH,
     EXIT_INVALID_INPUT,
@@ -284,7 +282,7 @@ class TestSubcommands:
     def test_oracle_mismatch_exits_5(self, tmp_path, capsys, monkeypatch):
         # The Smith route is made to disagree with the formula route.
         monkeypatch.setattr(
-            tricl.classgroup, "class_group_snf", lambda variety: exactlinalg.FgAbelianGroup(7, ())
+            classgroup, "class_group_snf", lambda variety: exactlinalg.FgAbelianGroup(7, ())
         )
         path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": [[4], [2], [3, 3]]})
         code, out, err = run_cli(capsys, "--format", "json", "report", "--method", "both", path)
@@ -296,9 +294,9 @@ class TestSubcommands:
     def test_failing_selftest_case_exits_5(self, capsys, monkeypatch):
         # A wrong Type 1 group fails exactly the three Type 1 cases.
         monkeypatch.setattr(
-            tricl.selftest, "class_group_type1", lambda variety: exactlinalg.FgAbelianGroup(5, ())
+            selftest, "class_group_type1", lambda variety: exactlinalg.FgAbelianGroup(5, ())
         )
-        failed = [result for result in tricl.selftest.run_selftest() if not result.ok]
+        failed = [result for result in selftest.run_selftest() if not result.ok]
         assert [result.name for result in failed] == [
             "type1-plane-curve", "type1-rank-one", "type1-not-fg"
         ]
