@@ -74,7 +74,6 @@ from .classgroup import (
     isolated_singularity_report,
     n_tilde,
     predicates,
-    rank_formula,
 )
 from .type1 import (
     Type1Variety,

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .coxring import CoxConstruction, total_coordinate_space
+from .coxring import total_coordinate_space
 from .errors import (
     FactorialInputError,
     FreeVariablesPresentError,
@@ -49,7 +49,7 @@ from .variety import (
     TrinomialVariety,
     _block_offsets,
     _exponent_rows,
-    _free_rank,
+    _torsion_tail,
     class_group_formula,
     dimension,
     exponent_matrix,
@@ -60,24 +60,9 @@ from .variety import (
 
 def n_tilde(variety: TrinomialVariety) -> int:
     """Free rank sum((c(i) - 1) n_i - c(i) + 1) of an adjusted rational variety."""
-    kind = rationality_class(variety)
-    if variety.is_degenerate:
-        return 0
-    if not kind.is_rational:
+    if not rationality_class(variety).is_rational:
         raise NotRationalError("the rank formula needs a rational variety")
-    return _free_rank(variety._counts, variety.blocks)
-
-
-def rank_formula(variety: TrinomialVariety) -> int:
-    """Class group rank, asserted against dim(TCS) - dim(X)."""
-    value = n_tilde(variety)
-    cox = total_coordinate_space(variety)
-    difference = dimension(cox.tcs) - dimension(variety)
-    if value != difference:
-        raise OracleMismatchError(
-            f"rank formula {value} disagrees with the dimension difference {difference}"
-        )
-    return value
+    return variety._free_rank()
 
 
 def _require_rational_nonfactorial(variety: TrinomialVariety) -> RationalityClass:
@@ -102,12 +87,8 @@ def compulsory_torsion(variety: TrinomialVariety) -> FgAbelianGroup:
     """
     kind = _require_rational_nonfactorial(variety)
     gcds = variety.block_gcds()
-    if kind.kind is RationalityKind.CASE_II:
-        closed = FgAbelianGroup(0, [g for g in gcds[2:] for _ in range(kind.c - 1)])
-    else:
-        factors = [gcds[0] // 2, gcds[1] // 2, gcds[2] // 2]
-        factors += [g for g in gcds[3:] for _ in range(3)]
-        closed = FgAbelianGroup(0, factors)
+    factors = [g // 2 for g in gcds[:3]] if kind.kind is RationalityKind.CASE_III else []
+    closed = FgAbelianGroup(0, factors + _torsion_tail(kind, gcds))
     cox = total_coordinate_space(variety)
     from_snf = cokernel(exponent_matrix(cox.tcs)).torsion_part()
     if closed != from_snf:
@@ -131,21 +112,7 @@ def grading_matrix(variety: TrinomialVariety) -> IntMatrix:
     variables have degree zero and contribute no columns.
     """
     kind = _require_rational_nonfactorial(variety)
-    return _grading_rows(kind, total_coordinate_space(variety))
-
-
-def _relation_rows(k: int, exponents: Sequence[int], offset: int) -> list[SparseRow]:
-    """The relation block A(k, l) for l = `exponents`, its columns shifted
-    by `offset`: k rows holding l on the k column blocks of width n = len(l),
-    then n rows holding k horizontal copies of the n x n identity."""
-    n = len(exponents)
-    rows = [{offset + t * n + j: x for j, x in enumerate(exponents)} for t in range(k)]
-    rows += [{offset + t * n + j: 1 for t in range(k)} for j in range(n)]
-    return rows
-
-
-def _grading_rows(kind: RationalityClass, cox: CoxConstruction) -> IntMatrix:
-    """Sparse `grading_matrix` of the variety whose total coordinate space is `cox`."""
+    cox = total_coordinate_space(variety)
     # Flattened, the TCS blocks are the (i, t) pairs in column order.
     offsets = _block_offsets(cox.tcs.blocks)
     rows = []
@@ -161,6 +128,16 @@ def _grading_rows(kind: RationalityClass, cox: CoxConstruction) -> IntMatrix:
         # The monomial rows of (i, t) less that of (0, 1): the exponent rows.
         rows += _exponent_rows(cox.tcs.blocks)
     return IntMatrix.from_sparse(rows, cox.n_prime)
+
+
+def _relation_rows(k: int, exponents: Sequence[int], offset: int) -> list[SparseRow]:
+    """The relation block A(k, l) for l = `exponents`, its columns shifted
+    by `offset`: k rows holding l on the k column blocks of width n = len(l),
+    then n rows holding k horizontal copies of the n x n identity."""
+    n = len(exponents)
+    rows = [{offset + t * n + j: x for j, x in enumerate(exponents)} for t in range(k)]
+    rows += [{offset + t * n + j: 1 for t in range(k)} for j in range(n)]
+    return rows
 
 
 def class_group_snf(variety: TrinomialVariety) -> FgAbelianGroup:
@@ -305,12 +282,16 @@ class GroupMethod(enum.Enum):
 class ClassGroupReport:
     """Bundle of the class group data for one adjusted variety.
 
-    ``rank_check`` pairs the formula rank with the dimension difference
-    dim(TCS) - dim(X); the two always agree (enforced).  For non-rational
-    input only ``group`` (the marker) and ``method`` are populated.  ``snf``
-    is the group the Smith-normal-form route computed, None when that route
-    did not run: method FORMULA, or factorial, degenerate or non-rational
-    input, whose group follows from the rationality class alone.
+    ``rank_check`` pairs the rank n_tilde with the dimension difference
+    dim(TCS) - dim(X), which the construction of the total coordinate space
+    makes equal, so it is not computed again: source block i gives c(i) TCS
+    blocks of n_i variables, m stays, and k blocks carry k - 2 relations, so
+    dim(TCS) - dim(X) = sum((c(i) - 1) n_i - c(i) + 1) = n_tilde.  For
+    non-rational input only ``group`` (the marker) and ``method`` are
+    populated.  ``snf`` is the group the Smith-normal-form route computed,
+    None when that route did not run: method FORMULA, or factorial,
+    degenerate or non-rational input, whose group follows from the
+    rationality class alone.
     """
 
     group: ClassGroup
@@ -327,7 +308,8 @@ def class_group_report(
     """Compute the class group by the requested method(s) plus side invariants.
 
     With method BOTH the formula and Smith-normal-form routes are both run
-    and must agree (OracleMismatchError otherwise).
+    and must agree (OracleMismatchError otherwise).  The rank of the group
+    must be n_tilde, which only the Smith-form route can miss.
     """
     kind = rationality_class(variety)
     if not kind.is_rational:
@@ -345,7 +327,7 @@ def class_group_report(
         )
     group = formula if formula is not None else snf
     assert isinstance(group, FgAbelianGroup)
-    rank = rank_formula(variety)
+    rank = n_tilde(variety)
     if group.rank != rank:
         raise OracleMismatchError(
             f"group rank {group.rank} disagrees with the rank formula {rank}"

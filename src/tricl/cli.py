@@ -31,6 +31,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, Union
@@ -487,26 +488,31 @@ def main(argv: Optional[list[str]] = None) -> int:
     worst = EXIT_OK
     ok_count = 0
     for path in paths:
-        try:
+        # Record every warning, not one per process: `adjust` warns per input.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
             try:
-                text = path.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise SpecError(f"not UTF-8 text: {exc.reason} at byte {exc.start}")
-            spec = parse_spec(text)
-            report = _run_single(args.command, spec, method)
-            report["file"] = str(path)
-            _emit(report, fmt, stream)
-            ok_count += 1
-        except Exception as exc:  # noqa: BLE001 - per-file isolation
-            code = _exit_code_for(exc)
-            worst = max(worst, code)
-            failure = {
-                "file": str(path),
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-                "exit_code": code,
-            }
-            _emit(failure, fmt, sys.stderr)
+                try:
+                    text = path.read_text(encoding="utf-8")
+                except UnicodeDecodeError as exc:
+                    raise SpecError(f"not UTF-8 text: {exc.reason} at byte {exc.start}")
+                spec = parse_spec(text)
+                report = _run_single(args.command, spec, method)
+                report["file"] = str(path)
+                _emit(report, fmt, stream)
+                ok_count += 1
+            except Exception as exc:  # noqa: BLE001 - per-file isolation
+                code = _exit_code_for(exc)
+                worst = max(worst, code)
+                failure = {
+                    "file": str(path),
+                    "error": str(exc),
+                    "error_type": type(exc).__name__,
+                    "exit_code": code,
+                }
+                _emit(failure, fmt, sys.stderr)
+        for warning in caught:
+            _emit({"file": str(path), "warning": str(warning.message)}, fmt, sys.stderr)
     if len(paths) > 1:
         summary = f"{ok_count}/{len(paths)} inputs processed"
         (stream if fmt == "text" else sys.stderr).write(summary + "\n")

@@ -18,7 +18,7 @@ class NonPositiveExponentError(InvalidVarietyError):
 
 
 class DuplicateThetaError(InvalidVarietyError):
-    """Two relation coefficients coincide (or one vanishes)."""
+    """Two relation coefficients coincide; a zero one raises plain InvalidVarietyError."""
 
 
 class NotAdjustedError(TriclError):

@@ -5,7 +5,9 @@ of rational varieties with a complexity-one torus action, but carry
 non-constant invariant functions.  Their class group is decided by the block
 gcds alone; the finitely generated cases lift to a trinomial variety with one
 extra leading block, which is how the computation reduces to the trinomial
-formulas.  A value caches its gcds, adjusted flag and c(i) as a trinomial one
+formulas.  `Type1Variety` shares its fields, construction checks and
+cached block gcds with `TrinomialVariety` through their private base class
+in `variety`, and caches its adjusted flag and c(i) as a trinomial value
 does, so `is_adjusted` and `require_adjusted` take either family.
 """
 
@@ -13,17 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup
 from .variety import (
-    NOT_FINITELY_GENERATED, ClassGroup, TrinomialVariety, _analysis, _check_fields,
-    _coerce_fields, _derived, _free_rank, require_adjusted,
+    NOT_FINITELY_GENERATED, ClassGroup, TrinomialVariety, _analysis, _derived, _Variety,
+    require_adjusted,
 )
 
 
 @dataclass(frozen=True)
-class Type1Variety:
+class Type1Variety(_Variety):
     """Exponent blocks l_1..l_r, free variables, coefficients with theta_1 = 1.
 
     Fewer than two blocks leave no relation and describe an affine space
@@ -32,30 +33,13 @@ class Type1Variety:
     is 1 (or generic).
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    m: int = 0
-    theta: Optional[tuple] = None
-
-    def __post_init__(self) -> None:
-        _coerce_fields(self)
-        _check_fields(self, max(len(self.blocks) - 1, 0), fixed_first=True)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return len(self.blocks) < 2
-
-    def block_gcds(self) -> tuple[int, ...]:
-        return self._gcds
-
-    @_analysis
-    def _gcds(self) -> tuple[int, ...]:
-        return tuple([math.gcd(*block) for block in self.blocks])
+    _relation_blocks, _plain_blocks, _fixed_first = 2, 1, True
 
     @_analysis
     def _adjusted(self) -> bool:
         gcds = self._gcds
         descending = all(a >= b for a, b in zip(gcds, gcds[1:]))
-        return len(gcds) < 2 or (1,) not in self.blocks and descending
+        return self.is_degenerate or (1,) not in self.blocks and descending
 
     @_analysis
     def _counts(self) -> tuple[int, ...]:
@@ -86,9 +70,7 @@ def adjust_type1(variety: Type1Variety) -> Type1Variety:
 
 
 def type1_n_tilde(variety: Type1Variety) -> int:
-    if require_adjusted(variety).is_degenerate:
-        return 0
-    return _free_rank(variety._counts, variety.blocks)
+    return require_adjusted(variety)._free_rank()
 
 
 def class_group_type1(variety: Type1Variety) -> ClassGroup:

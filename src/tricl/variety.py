@@ -11,6 +11,8 @@ downstream depend only on the exponent data, so coefficients are carried as
 exact rationals or generic placeholders and never enter any group
 computation.
 
+Both families, trinomial and Type 1, share one private base class: the
+fields, the construction checks and the block gcds.
 Variety values built from outside data are checked when they are
 constructed: invalid data raises an `InvalidVarietyError` subclass there, so
 every existing value is valid.  Values the library derives from checked
@@ -70,57 +72,6 @@ def _coerce_theta(theta) -> Optional[tuple[Theta, ...]]:
     return tuple(out)
 
 
-def _coerce_fields(value) -> None:
-    """Normalise the blocks, m and theta of a frozen variety value in place.
-
-    Exponents and m must be integers: a float raises rather than truncates.
-    """
-    try:
-        blocks = tuple([tuple(map(operator.index, b)) for b in value.blocks])
-    except TypeError as exc:
-        raise InvalidVarietyError(
-            f"blocks must be lists of integers, got {value.blocks!r}"
-        ) from exc
-    try:
-        m = operator.index(value.m)
-    except TypeError as exc:
-        raise InvalidVarietyError(f"m must be an integer, got {value.m!r}") from exc
-    object.__setattr__(value, "blocks", blocks)
-    object.__setattr__(value, "m", m)
-    object.__setattr__(value, "theta", _coerce_theta(value.theta))
-
-
-def _check_fields(value, expected_theta: int, fixed_first: bool = False) -> None:
-    """Structural checks shared by every variety family.
-
-    `expected_theta` is the number of coefficients the family carries for
-    these blocks; `fixed_first` requires the first coefficient to be 1.
-    Raises EmptyBlockError, NonPositiveExponentError, DuplicateThetaError or
-    InvalidVarietyError.
-    """
-    for index, block in enumerate(value.blocks):
-        if not block:
-            raise EmptyBlockError(f"block {index} is empty")
-        if min(block) < 1:
-            raise NonPositiveExponentError(f"block {index} has a non-positive exponent: {block}")
-    if value.m < 0:
-        raise InvalidVarietyError("m must be nonnegative")
-    if value.theta is None:
-        return
-    if len(value.theta) != expected_theta:
-        raise InvalidVarietyError(
-            f"expected {expected_theta} coefficients for {len(value.blocks)} blocks, "
-            f"got {len(value.theta)}"
-        )
-    if fixed_first and value.theta and value.theta[0] not in (GENERIC_THETA, Fraction(1)):
-        raise InvalidVarietyError("the first coefficient is fixed to 1")
-    exact = [t for t in value.theta if isinstance(t, Fraction)]
-    if any(t == 0 for t in exact):
-        raise InvalidVarietyError("coefficients must be nonzero")
-    if len(set(exact)) != len(exact):
-        raise DuplicateThetaError("coefficients must be pairwise different")
-
-
 class _analysis:
     """`functools.cached_property` without the lock it takes before Python
     3.12: the first read stores the result in the instance dict, where every
@@ -178,7 +129,76 @@ _NON_RATIONAL = RationalityClass(RationalityKind.NON_RATIONAL)
 
 
 @dataclass(frozen=True)
-class TrinomialVariety:
+class _Variety:
+    """The fields, construction checks, block gcds and free rank of both families.
+
+    A family sets three class constants: `_relation_blocks`, the fewest
+    blocks that carry a relation; `_plain_blocks`, the blocks without a
+    coefficient; and `_fixed_first`, whether the first coefficient is fixed
+    to 1.  Exponents and m must be integers: a float raises, never truncates.
+    """
+
+    blocks: tuple[tuple[int, ...], ...]
+    m: int = 0
+    theta: Optional[tuple[Theta, ...]] = None
+
+    def __post_init__(self) -> None:
+        try:
+            blocks = tuple([tuple(map(operator.index, b)) for b in self.blocks])
+        except TypeError as exc:
+            raise InvalidVarietyError(
+                f"blocks must be lists of integers, got {self.blocks!r}"
+            ) from exc
+        try:
+            m = operator.index(self.m)
+        except TypeError as exc:
+            raise InvalidVarietyError(f"m must be an integer, got {self.m!r}") from exc
+        self.__dict__.update(blocks=blocks, m=m, theta=_coerce_theta(self.theta))
+        for index, block in enumerate(blocks):
+            if not block:
+                raise EmptyBlockError(f"block {index} is empty")
+            if min(block) < 1:
+                raise NonPositiveExponentError(f"block {index} has a non-positive exponent: {block}")
+        if m < 0:
+            raise InvalidVarietyError("m must be nonnegative")
+        theta = self.theta
+        if theta is None:
+            return
+        expected = max(len(blocks) - self._plain_blocks, 0)
+        if len(theta) != expected:
+            raise InvalidVarietyError(
+                f"expected {expected} coefficients for {len(blocks)} blocks, "
+                f"got {len(theta)}"
+            )
+        if self._fixed_first and theta and theta[0] not in (GENERIC_THETA, Fraction(1)):
+            raise InvalidVarietyError("the first coefficient is fixed to 1")
+        exact = [t for t in theta if isinstance(t, Fraction)]
+        if any(t == 0 for t in exact):
+            raise InvalidVarietyError("coefficients must be nonzero")
+        if len(set(exact)) != len(exact):
+            raise DuplicateThetaError("coefficients must be pairwise different")
+
+    @property
+    def is_degenerate(self) -> bool:
+        """True when the blocks carry no relation: an affine space."""
+        return len(self.blocks) < self._relation_blocks
+
+    def block_gcds(self) -> tuple[int, ...]:
+        return self._gcds
+
+    @_analysis
+    def _gcds(self) -> tuple[int, ...]:
+        return tuple([math.gcd(*block) for block in self.blocks])
+
+    def _free_rank(self) -> int:
+        """sum((c(i) - 1) n_i - c(i) + 1) over the family's c(i); 0 for an affine space."""
+        if self.is_degenerate:
+            return 0
+        return sum((c - 1) * len(block) - c + 1 for c, block in zip(self._counts, self.blocks))
+
+
+@dataclass(frozen=True)
+class TrinomialVariety(_Variety):
     """Exponent blocks l_0..l_r, free-variable count m, optional coefficients.
 
     ``theta`` holds the r-2 relation coefficients as exact `Fraction`s or the
@@ -193,13 +213,7 @@ class TrinomialVariety:
     data; `rationality_class` and `block_invariants` check that first.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    m: int = 0
-    theta: Optional[tuple[Theta, ...]] = None
-
-    def __post_init__(self) -> None:
-        _coerce_fields(self)
-        _check_fields(self, max(len(self.blocks) - 3, 0))
+    _relation_blocks, _plain_blocks, _fixed_first = 3, 3, False
 
     @property
     def r(self) -> int:
@@ -215,21 +229,9 @@ class TrinomialVariety:
     def relation_count(self) -> int:
         return max(len(self.blocks) - 2, 0)
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when there are fewer than three blocks: an affine space."""
-        return len(self.blocks) < 3
-
-    def block_gcds(self) -> tuple[int, ...]:
-        return self._gcds
-
-    @_analysis
-    def _gcds(self) -> tuple[int, ...]:
-        return tuple([math.gcd(*block) for block in self.blocks])
-
     @_analysis
     def _adjusted(self) -> bool:
-        if len(self.blocks) < 3:
+        if self.is_degenerate:
             return True
         if (1,) in self.blocks:
             return False
@@ -247,7 +249,7 @@ class TrinomialVariety:
 
     @_analysis
     def _rationality(self) -> RationalityClass:
-        if len(self.blocks) < 3:
+        if self.is_degenerate:
             return _FACTORIAL
         gcds = self._gcds
         # Every pair (i, j) with j >= 3 must be coprime: L_j against the
@@ -475,9 +477,11 @@ NOT_FINITELY_GENERATED = NotFinitelyGenerated()
 ClassGroup = Union[FgAbelianGroup, NotFinitelyGenerated]
 
 
-def _free_rank(counts: Sequence[int], blocks: Sequence[Sequence[int]]) -> int:
-    """sum((c(i) - 1) n_i - c(i) + 1) over the blocks, for any variety family."""
-    return sum((c - 1) * len(block) - c + 1 for c, block in zip(counts, blocks))
+def _torsion_tail(kind: RationalityClass, gcds: Sequence[int]) -> list[int]:
+    """The factors (Z/L_i)^(c-1) for i >= 2 in case II, (Z/L_i)^3 for i >= 3
+    in case III: the torsion the class group and the compulsory torsion share."""
+    start, copies = (2, kind.c - 1) if kind.kind is RationalityKind.CASE_II else (3, 3)
+    return [g for g in gcds[start:] for _ in range(copies)]
 
 
 def class_group_formula(variety: TrinomialVariety) -> ClassGroup:
@@ -495,12 +499,9 @@ def class_group_formula(variety: TrinomialVariety) -> ClassGroup:
         return NOT_FINITELY_GENERATED
     _checked_n_prime(variety)
     gcds = variety._gcds
-    if kind.kind is RationalityKind.CASE_II:
-        factors = [g for g in gcds[2:] for _ in range(kind.c - 1)]
-    else:
-        factors = [gcds[0] * gcds[1] * gcds[2] // 4]
-        factors += [g for g in gcds[3:] for _ in range(3)]
-    return FgAbelianGroup(_free_rank(variety._counts, variety.blocks), factors)
+    factors = [gcds[0] * gcds[1] * gcds[2] // 4] if kind.kind is RationalityKind.CASE_III else []
+    factors += _torsion_tail(kind, gcds)
+    return FgAbelianGroup(variety._free_rank(), factors)
 
 
 def _block_offsets(blocks: Sequence[Sequence[int]]) -> list[int]:

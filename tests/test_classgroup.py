@@ -6,12 +6,14 @@ import weakref
 import pytest
 
 from oracles import block_diagonal, cyclic_subgroup_order, matrix_A, relation_degree_order
+from test_variety import criterion_9_multisets, seeded_inputs_up_to_the_block_cap
 from tricl import coxring
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
     ClassGroupPredicates,
     GroupMethod,
     IsolatedSingularityCase,
+    NotFinitelyGenerated,
     class_group_formula,
     class_group_report,
     class_group_snf,
@@ -20,7 +22,6 @@ from tricl.classgroup import (
     isolated_singularity_report,
     n_tilde,
     predicates,
-    rank_formula,
 )
 from tricl.errors import (
     FactorialInputError,
@@ -30,7 +31,14 @@ from tricl.errors import (
     ResourceLimitError,
 )
 from tricl.exactlinalg import FgAbelianGroup, IntMatrix, cokernel
-from tricl.variety import MAX_N_PRIME, TrinomialVariety, rationality_class
+from tricl.variety import (
+    MAX_BLOCK,
+    MAX_N_PRIME,
+    TrinomialVariety,
+    adjust,
+    dimension,
+    rationality_class,
+)
 
 V = TrinomialVariety
 G = FgAbelianGroup
@@ -57,6 +65,12 @@ class TestClassGroupFormula:
     def test_non_rational_marker(self):
         assert class_group_formula(V([[6], [3], [4]])) is NOT_FINITELY_GENERATED
 
+    def test_marker_is_one_printable_value(self):
+        # Its `str` is what a formula scan writes into its output.
+        assert NotFinitelyGenerated() is NOT_FINITELY_GENERATED
+        assert str(NOT_FINITELY_GENERATED) == "not finitely generated"
+        assert repr(NOT_FINITELY_GENERATED) == "NotFinitelyGenerated"
+
     def test_degenerate_is_trivial(self):
         assert class_group_formula(V([[3], [3]])).is_trivial
 
@@ -79,14 +93,38 @@ class TestRankFormula:
         ],
     )
     def test_rank(self, blocks, expected):
-        assert rank_formula(V(blocks)) == expected
+        assert n_tilde(V(blocks)) == expected
 
     def test_non_rational_raises(self):
         with pytest.raises(NotRationalError):
-            rank_formula(V([[6], [3], [4]]))
+            n_tilde(V([[6], [3], [4]]))
 
     def test_n_tilde_degenerate(self):
         assert n_tilde(V([[3], [3]])) == 0
+
+
+class TestRankIdentity:
+    """dim(TCS) - dim(X) = n_tilde by the construction of the total coordinate
+    space, so `class_group_report` does not compute the left side."""
+
+    @staticmethod
+    def holds(blocks, m) -> bool:
+        """Whether the adjusted data is rational; asserts the identity if so."""
+        adjusted, _ = adjust(V(blocks, m))
+        if not rationality_class(adjusted).is_rational:
+            return False
+        tcs = coxring.total_coordinate_space(adjusted).tcs
+        assert dimension(tcs) - dimension(adjusted) == n_tilde(adjusted), (blocks, m)
+        return True
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_criterion_9_enumeration(self, m):
+        assert sum(self.holds(combo, m) for combo in criterion_9_multisets()) > 40_000
+
+    def test_seeded_inputs_up_to_the_block_cap(self):
+        inputs = seeded_inputs_up_to_the_block_cap()
+        checked = [len(blocks) for k, blocks in enumerate(inputs) if self.holds(blocks, k % 3)]
+        assert max(checked) == MAX_BLOCK + 1
 
 
 class TestCompulsoryTorsion:

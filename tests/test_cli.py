@@ -291,6 +291,18 @@ class TestSubcommands:
         assert failure["error_type"] == "OracleMismatchError" and failure["exit_code"] == 5
         assert failure["error"].startswith("class group mismatch for blocks ((4,), (2,), (3, 3))")
 
+    def test_rank_mismatch_under_snf_exits_5(self, tmp_path, capsys, monkeypatch):
+        # Only the Smith route can miss the rank n_tilde; it is made to.
+        monkeypatch.setattr(
+            classgroup, "class_group_snf", lambda variety: exactlinalg.FgAbelianGroup(7, (3,))
+        )
+        path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": [[4], [2], [3, 3]]})
+        code, out, err = run_cli(capsys, "--format", "json", "classgroup", "--method", "snf", path)
+        assert code == EXIT_INTERNAL_MISMATCH and out == ""
+        failure = json.loads(err)
+        assert failure["error_type"] == "OracleMismatchError" and failure["exit_code"] == 5
+        assert failure["error"] == "group rank 7 disagrees with the rank formula 1"
+
     def test_failing_selftest_case_exits_5(self, capsys, monkeypatch):
         # A wrong Type 1 group fails exactly the three Type 1 cases.
         monkeypatch.setattr(
@@ -399,6 +411,31 @@ class TestBatch:
         failures = [json.loads(line) for line in err.strip().splitlines() if line.startswith("{")]
         assert {f["exit_code"] for f in failures} == {2, 3}
         assert code == EXIT_NOT_FINITELY_GENERATED
+
+    def test_every_coefficient_reset_is_reported(self, tmp_path, capsys):
+        # `adjust` reorders both inputs, so their exact coefficients are reset.
+        paths = [
+            write_spec(tmp_path, name, {"kind": "trinomial", "blocks": blocks, "theta": [theta]})
+            for name, blocks, theta in [
+                ("w1.json", [[3], [6], [4], [5]], "1/2"),
+                ("w2.json", [[5], [10], [4], [3]], "3/2"),
+            ]
+        ]
+        reset = (
+            "adjustment rewires the relations; "
+            "exact coefficients were reset to generic placeholders"
+        )
+        # Twice in one process, then where both inputs fail (not rational).
+        runs = [("adjust", EXIT_OK)] * 2 + [("classgroup", EXIT_NOT_FINITELY_GENERATED)]
+        for command, code in runs:
+            exit_code, _, err = run_cli(capsys, "--format", "json", command, *paths)
+            assert exit_code == code
+            *lines, summary = err.splitlines()
+            assert summary == f"{2 if code == EXIT_OK else 0}/2 inputs processed"
+            records = [json.loads(line) for line in lines]
+            warned = [r for r in records if "warning" in r]
+            assert warned == [{"file": path, "warning": reset} for path in paths]
+            assert len(records) == (2 if code == EXIT_OK else 4)
 
     def test_batch_summary_line(self, tmp_path, capsys):
         write_spec(tmp_path, "a.json", {"kind": "trinomial", "blocks": [[2], [2], [2]]})

@@ -274,6 +274,11 @@ class TestChainPatternClassifier:
     def test_unrelated_pair_has_no_label(self):
         assert self.good((5, 3, 2), (4, 3, 2)) is None
 
+    def test_a_step_without_a_triple_has_no_label(self):
+        triple = PlatonicTriple.classify((2, 2, 2))
+        assert classify_chain_pattern(None, triple) is None
+        assert classify_chain_pattern(triple, None) is None
+
 
 class TestDuvalSurfaces:
     def test_d4_surface(self):

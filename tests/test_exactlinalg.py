@@ -41,6 +41,7 @@ from tricl.coxring import is_hyperplatonic
 from tricl.exactlinalg import (
     FgAbelianGroup,
     IntMatrix,
+    SmithData,
     cokernel,
     smith_invariants,
 )
@@ -146,6 +147,10 @@ class TestSmith:
 
     def test_empty_matrix(self):
         assert smith_invariants(M([], cols=3)).rank == 0
+
+    def test_smith_data_has_one_factor_per_rank(self):
+        with pytest.raises(ValueError, match="must equal the rank"):
+            SmithData(2, (1,))
 
     def test_divisibility_chain_is_enforced_by_construction(self):
         data = smith_invariants(M([[2, 0], [0, 3]]))

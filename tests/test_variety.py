@@ -1,6 +1,7 @@
 """Tests for the variety data model, adjustment and gcd invariants."""
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import random
@@ -88,8 +89,10 @@ class TestValidate:
             V([[2], [2], [2]], theta=["1/2"])
         with pytest.raises(DuplicateThetaError):
             V([[2], [2], [2], [3], [5]], theta=["1/2", "1/2"])
-        with pytest.raises(InvalidVarietyError):
+        with pytest.raises(InvalidVarietyError, match="must be nonzero") as zero:
             V([[2], [2], [2], [3]], theta=[0])
+        # Exactly this type: the CLI reports it as the error_type.
+        assert type(zero.value) is InvalidVarietyError
 
     def test_generic_theta_tags(self):
         V([[2], [2], [2], [3], [5]], theta=["generic", "generic"])
@@ -115,6 +118,31 @@ class TestValidate:
     def test_exponents_and_m_that_are_not_integers(self, family, blocks, m):
         with pytest.raises(InvalidVarietyError, match="must be"):
             family(blocks, m=m)
+
+
+class TestSharedBase:
+    """Both families are one frozen base class, set apart by three constants."""
+
+    def test_analysis_read_through_the_class_is_its_descriptor(self):
+        assert V._gcds is Type1Variety._gcds is tricl.variety._Variety.__dict__["_gcds"]
+        assert V._rationality.name == "_rationality"
+
+    def test_the_constants_set_the_families_apart(self):
+        # Two blocks carry a Type 1 relation but are an affine space as
+        # trinomial data; r - 1 coefficients with theta_1 = 1 against r - 2.
+        assert not Type1Variety([[2], [2]]).is_degenerate and V([[2], [2]]).is_degenerate
+        Type1Variety([[2], [3], [5]], theta=["1", "1/2"])
+        V([[2], [3], [5], [7]], theta=["1/2"])
+        with pytest.raises(InvalidVarietyError, match="fixed to 1"):
+            Type1Variety([[2], [3], [5]], theta=["1/2", "1"])
+        assert V([[2], [2]]) != Type1Variety([[2], [2]])
+
+    def test_values_of_both_families_are_frozen(self):
+        for value in (V([[2], [2], [2]]), Type1Variety([[2], [2]])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                value.m = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                value.extra = 1
 
 
 class TestInvariants:
