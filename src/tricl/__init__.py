@@ -40,7 +40,6 @@ from .variety import (
     adjust,
     block_invariants,
     dimension,
-    exponent_matrix,
     is_adjusted,
     rationality_class,
     render_relations,

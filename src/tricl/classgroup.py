@@ -13,10 +13,10 @@ group as the cokernel of an explicit grading matrix over the total
 coordinate space generators and reads it off a Smith normal form.  Both
 routes are exposed and their agreement is the library's central invariant.
 
-The formula route is not free of Smith forms: `class_group_report` also
-computes `compulsory_torsion`, which cross-checks its closed form against
-the cokernel of an exponent matrix.  Factorial and degenerate input needs
-neither route; its group is trivial by the rationality class.
+The formula route computes no Smith form, nor does `compulsory_torsion`: it
+checks its closed form against a lemma on the TCS block gcds.  Factorial
+and degenerate input needs neither route; its group is trivial by the
+rationality class.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .exactlinalg import (
     FgAbelianGroup,
     IntMatrix,
     SparseRow,
+    _chain,
     cokernel,
 )
 from .variety import (
@@ -52,7 +53,6 @@ from .variety import (
     _torsion_tail,
     class_group_formula,
     dimension,
-    exponent_matrix,
     rationality_class,
     require_adjusted,
 )
@@ -80,21 +80,24 @@ def compulsory_torsion(variety: TrinomialVariety) -> FgAbelianGroup:
     """The forced finite subgroup of the class group, computed twice.
 
     Closed form: (Z/L2)^(c-1) x ... x (Z/Lr)^(c-1) in case II, and
-    Z/(L0/2) x Z/(L1/2) x Z/(L2/2) x (Z/L3)^3 x ... in case III.  The second
-    route takes the torsion part of the cokernel of the exponent matrix of
-    the (raw) total coordinate space; disagreement raises
+    Z/(L0/2) x Z/(L1/2) x Z/(L2/2) x (Z/L3)^3 x ... in case III.  Lemma (see
+    the README): the torsion of the cokernel of the exponent matrix of the
+    (raw) total coordinate space, whose blocks have gcds g_0 .. g_r, is the
+    invariant-factor chain of Z/g_0 x ... x Z/g_r without its largest
+    factor, since the k x k minors are, up to unimodular column operations,
+    +- the products of k distinct g_j.  Disagreement raises
     OracleMismatchError.
     """
     kind = _require_rational_nonfactorial(variety)
     gcds = variety.block_gcds()
     factors = [g // 2 for g in gcds[:3]] if kind.kind is RationalityKind.CASE_III else []
     closed = FgAbelianGroup(0, factors + _torsion_tail(kind, gcds))
-    cox = total_coordinate_space(variety)
-    from_snf = cokernel(exponent_matrix(cox.tcs)).torsion_part()
-    if closed != from_snf:
+    tcs_gcds = total_coordinate_space(variety).tcs.block_gcds()
+    lemma = FgAbelianGroup(0, _chain(tcs_gcds)[:-1])
+    if closed != lemma:
         raise OracleMismatchError(
             f"compulsory torsion mismatch: closed form {closed}, "
-            f"exponent-matrix cokernel {from_snf}\n{exponent_matrix(cox.tcs)}"
+            f"lemma {lemma} on the TCS block gcds {tcs_gcds}"
         )
     return closed
 

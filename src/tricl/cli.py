@@ -18,8 +18,8 @@ beyond the size handled (out of memory, or an output integer longer than
 `sys.get_int_max_str_digits()` digits, included).
 
 Variety data is checked when the variety is constructed; structural errors
-exit 2.  With --method formula no Smith form presents the class group, but
-the compulsory torsion is still cross-checked through one.
+exit 2.  With --method formula, and in type1-classgroup, no Smith form runs:
+the compulsory torsion is cross-checked against a lemma, not a cokernel.
 
 `variety.MAX_BLOCK` (16) caps the number of relations and the block sizes
 to guard against accidentally huge inputs.

@@ -159,9 +159,6 @@ class FgAbelianGroup:
             return None
         return math.prod(self.invariant_factors)
 
-    def torsion_part(self) -> "FgAbelianGroup":
-        return FgAbelianGroup(0, self.invariant_factors)
-
     def __str__(self) -> str:
         parts = []
         if self.rank == 1:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup
 from .variety import (
-    NOT_FINITELY_GENERATED, ClassGroup, TrinomialVariety, _analysis, _derived, _Variety,
-    require_adjusted,
+    NOT_FINITELY_GENERATED, ClassGroup, TrinomialVariety, _analysis, _derived, _reordered,
+    _Variety, require_adjusted,
 )
 
 
@@ -53,20 +53,19 @@ def adjust_type1(variety: Type1Variety) -> Type1Variety:
 
     Ties break by block size descending, then original position.  Each
     deleted block removes one relation; with fewer than two blocks left the
-    data is degenerate.  Coefficients are reset to generic placeholders.
+    data is degenerate.  Input that is already in this order is returned
+    itself; otherwise exact coefficients are reset to generic placeholders
+    with a warning, as `adjust` does.
     """
     blocks, gcds = variety.blocks, variety._gcds
     order = list(range(len(blocks)))
     while len(order) >= 2 and any(blocks[i] == (1,) for i in order):
         order.remove(next(i for i in order if blocks[i] == (1,)))
     order.sort(key=lambda i: (-gcds[i], -len(blocks[i]), i))
-    return _derived(
-        Type1Variety,
-        tuple([blocks[i] for i in order]),
-        variety.m,
-        _gcds=tuple([gcds[i] for i in order]),
-        _adjusted=True,
-    )
+    if order == list(range(len(blocks))):
+        variety.__dict__["_adjusted"] = True
+        return variety
+    return _reordered(variety, order)
 
 
 def type1_n_tilde(variety: Type1Variety) -> int:

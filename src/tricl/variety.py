@@ -48,7 +48,7 @@ from .errors import (
     NotAdjustedError,
     ResourceLimitError,
 )
-from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup, IntMatrix, SparseRow
+from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup, SparseRow
 
 Theta = Union[Fraction, str]
 
@@ -347,22 +347,31 @@ def adjust(variety: TrinomialVariety) -> tuple[TrinomialVariety, AdjustmentRecor
 
     record = AdjustmentRecord(tuple(eliminated), tuple(order), degenerate)
     if not eliminated and order == list(range(len(blocks))):
-        adjusted = variety
-    else:
-        adjusted = _derived(
-            TrinomialVariety,
-            tuple([blocks[i] for i in order]),
-            variety.m,
-            _gcds=tuple([gcds[i] for i in order]),
+        variety.__dict__["_adjusted"] = True
+        return variety, record
+    return _reordered(variety, order), record
+
+
+def _reordered(variety, order: list[int]):
+    """The adjusted value of either family holding the blocks of `variety`
+    at positions `order`, which move or drop some.  That rewires the
+    relations, so the coefficients are reset to generic ones, with a warning
+    to the adjusting function's caller when an exact one is lost (a fixed
+    first coefficient is no data)."""
+    blocks, gcds, theta = variety.blocks, variety._gcds, variety.theta
+    if theta is not None and any(isinstance(t, Fraction) for t in theta[variety._fixed_first :]):
+        warnings.warn(
+            "adjustment rewires the relations; exact coefficients were reset "
+            "to generic placeholders",
+            stacklevel=3,
         )
-        if variety.theta is not None and any(isinstance(t, Fraction) for t in variety.theta):
-            warnings.warn(
-                "adjustment rewires the relations; exact coefficients were reset "
-                "to generic placeholders",
-                stacklevel=2,
-            )
-    adjusted.__dict__["_adjusted"] = True
-    return adjusted, record
+    return _derived(
+        type(variety),
+        tuple([blocks[i] for i in order]),
+        variety.m,
+        _gcds=tuple([gcds[i] for i in order]),
+        _adjusted=True,
+    )
 
 
 def is_adjusted(variety) -> bool:
@@ -520,17 +529,6 @@ def _exponent_rows(blocks: Sequence[Sequence[int]]) -> list[SparseRow]:
         {**{j: -e for j, e in enumerate(blocks[0])}, **{offset + j: e for j, e in enumerate(block)}}
         for offset, block in zip(_block_offsets(blocks)[1:], blocks[1:])
     ]
-
-
-def exponent_matrix(variety: TrinomialVariety) -> IntMatrix:
-    """The r x (n + m) exponent matrix with rows (-l_0, 0.., l_i, ..0).
-
-    Row i places -l_0 on block 0 and +l_i on block i; the m free-variable
-    columns are zero.  Needs at least two blocks.
-    """
-    if len(variety.blocks) < 2:
-        raise InvalidVarietyError("exponent matrix needs at least two blocks")
-    return IntMatrix.from_sparse(_exponent_rows(variety.blocks), variety.n + variety.m)
 
 
 def _monomial(block_index: int, block: Sequence[int]) -> str:

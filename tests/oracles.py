@@ -1,6 +1,7 @@
 """Slow reference implementations that faster library code is tested against,
-the element orders in the class group that the tests check, and the
-lattice computation behind the du Val saturation lemma.
+the element orders in the class group that the tests check, the lattice
+computation behind the du Val saturation lemma, and the exponent matrix
+whose cokernel the compulsory torsion lemma stands for.
 
 There is one of each lattice routine (`hermite_basis`, `matrix_B`,
 `quotient_torsion_order`), written against the public `IntMatrix` API
@@ -18,7 +19,8 @@ from typing import Optional, Sequence
 
 from tricl.classgroup import grading_matrix
 from tricl.coxring import total_coordinate_space
-from tricl.exactlinalg import IntMatrix, smith_invariants
+from tricl.errors import InvalidVarietyError
+from tricl.exactlinalg import FgAbelianGroup, IntMatrix, smith_invariants
 from tricl.variety import RationalityClass, RationalityKind, adjust
 
 
@@ -575,6 +577,31 @@ def p1_rows_reference(variety) -> IntMatrix:
         row[offsets[i] : offsets[i] + len(li)] = [e // scale for e in li]
         rows.append(row)
     return IntMatrix.from_rows(rows, width)
+
+
+def exponent_matrix(variety) -> IntMatrix:
+    """The r x (n + m) exponent matrix with rows (-l_0, 0.., l_i, ..0).
+
+    Row i places -l_0 on block 0 and +l_i on block i; the m free-variable
+    columns are zero.  Needs at least two blocks.  The compulsory torsion
+    lemma reads the torsion of its cokernel off the block gcds.
+    """
+    blocks = variety.blocks
+    if len(blocks) < 2:
+        raise InvalidVarietyError("exponent matrix needs at least two blocks")
+    rows = []
+    offset = len(blocks[0])
+    for block in blocks[1:]:
+        row = {j: -e for j, e in enumerate(blocks[0])}
+        row.update((offset + j, e) for j, e in enumerate(block))
+        offset += len(block)
+        rows.append(row)
+    return IntMatrix.from_sparse(rows, variety.n + variety.m)
+
+
+def torsion_part(group: FgAbelianGroup) -> FgAbelianGroup:
+    """The finite part Z/f_1 x ... x Z/f_k of a group."""
+    return FgAbelianGroup(0, group.invariant_factors)
 
 
 def grading_rows_reference(kind: RationalityClass, cox) -> IntMatrix:

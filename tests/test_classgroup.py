@@ -7,7 +7,7 @@ import pytest
 
 from oracles import block_diagonal, cyclic_subgroup_order, matrix_A, relation_degree_order
 from test_variety import criterion_9_multisets, seeded_inputs_up_to_the_block_cap
-from tricl import coxring
+from tricl import classgroup, coxring
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
     ClassGroupPredicates,
@@ -28,6 +28,7 @@ from tricl.errors import (
     FreeVariablesPresentError,
     NotAdjustedError,
     NotRationalError,
+    OracleMismatchError,
     ResourceLimitError,
 )
 from tricl.exactlinalg import FgAbelianGroup, IntMatrix, cokernel
@@ -143,6 +144,11 @@ class TestCompulsoryTorsion:
     def test_factorial_rejected(self):
         with pytest.raises(FactorialInputError):
             compulsory_torsion(V([[2], [3], [5]]))
+
+    def test_disagreement_with_the_lemma_raises(self, monkeypatch):
+        monkeypatch.setattr(classgroup, "_chain", lambda factors: (7, 7))
+        with pytest.raises(OracleMismatchError, match="closed form Z/3, lemma Z/7 on the TCS"):
+            compulsory_torsion(V([[4], [2], [3, 3]]))
 
     def test_degenerate_rejected(self):
         with pytest.raises(FactorialInputError, match="degenerate data is an affine space"):

@@ -291,6 +291,19 @@ class TestSubcommands:
         assert failure["error_type"] == "OracleMismatchError" and failure["exit_code"] == 5
         assert failure["error"].startswith("class group mismatch for blocks ((4,), (2,), (3, 3))")
 
+    def test_compulsory_torsion_mismatch_exits_5(self, tmp_path, capsys, monkeypatch):
+        # The lemma is made to disagree with the closed form; no Smith form runs.
+        monkeypatch.setattr(classgroup, "_chain", lambda factors: (7, 7))
+        path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": [[4], [2], [3, 3]]})
+        code, out, err = run_cli(capsys, "--format", "json", "classgroup", "--method", "formula", path)
+        assert code == EXIT_INTERNAL_MISMATCH and out == ""
+        failure = json.loads(err)
+        assert failure["error_type"] == "OracleMismatchError" and failure["exit_code"] == 5
+        assert failure["error"] == (
+            "compulsory torsion mismatch: closed form Z/3, "
+            "lemma Z/7 on the TCS block gcds (2, 1, 3, 3)"
+        )
+
     def test_rank_mismatch_under_snf_exits_5(self, tmp_path, capsys, monkeypatch):
         # Only the Smith route can miss the rank n_tilde; it is made to.
         monkeypatch.setattr(
@@ -436,6 +449,27 @@ class TestBatch:
             warned = [r for r in records if "warning" in r]
             assert warned == [{"file": path, "warning": reset} for path in paths]
             assert len(records) == (2 if code == EXIT_OK else 4)
+
+    def test_type1_coefficient_reset_is_reported(self, tmp_path, capsys):
+        # The first input is in adjusted order and keeps its coefficients.
+        paths = [
+            write_spec(tmp_path, name, {"kind": "type1", "blocks": blocks, "theta": ["1", "1/2"]})
+            for name, blocks in [("kept.json", [[5], [3], [2]]), ("reset.json", [[3], [5], [2]])]
+        ]
+        code, out, err = run_cli(capsys, "--format", "json", "adjust", *paths)
+        assert code == EXIT_OK
+        assert [json.loads(line)["adjusted"]["blocks"] for line in out.splitlines()] == [
+            [[5], [3], [2]]
+        ] * 2
+        *lines, summary = err.splitlines()
+        assert summary == "2/2 inputs processed"
+        assert [json.loads(line) for line in lines] == [
+            {
+                "file": paths[1],
+                "warning": "adjustment rewires the relations; "
+                "exact coefficients were reset to generic placeholders",
+            }
+        ]
 
     def test_batch_summary_line(self, tmp_path, capsys):
         write_spec(tmp_path, "a.json", {"kind": "trinomial", "blocks": [[2], [2], [2]]})

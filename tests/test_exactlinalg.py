@@ -22,6 +22,7 @@ from oracles import (
     duval_saturation_by_lattice,
     element_order_in_cokernel,
     eliminate_exact_reference,
+    exponent_matrix,
     hermite_basis,
     identity,
     is_saturated_sublattice,
@@ -35,9 +36,9 @@ from oracles import (
     transpose,
 )
 from test_cli import CAP_LADDER, C_LADDER
-from tricl import exactlinalg
+from tricl import classgroup, exactlinalg
 from tricl.classgroup import GroupMethod, class_group_formula, class_group_report, grading_matrix
-from tricl.coxring import is_hyperplatonic
+from tricl.coxring import is_hyperplatonic, total_coordinate_space
 from tricl.exactlinalg import (
     FgAbelianGroup,
     IntMatrix,
@@ -473,7 +474,8 @@ class TestLattices:
 
 
 def _recorded_chain_inputs(monkeypatch, run) -> list[list[int]]:
-    """Every factor list that `_chain` receives while `run()` runs."""
+    """Every factor list that `_chain` receives while `run()` runs, the
+    TCS block gcds of the compulsory torsion lemma included."""
     seen = []
     original = exactlinalg._chain
 
@@ -483,6 +485,7 @@ def _recorded_chain_inputs(monkeypatch, run) -> list[list[int]]:
         return original(factors)
 
     monkeypatch.setattr(exactlinalg, "_chain", recording)
+    monkeypatch.setattr(classgroup, "_chain", recording)
     run()
     monkeypatch.undo()
     return seen
@@ -548,6 +551,25 @@ def _recorded_exact_inputs(monkeypatch, run) -> list[list[dict]]:
     return seen
 
 
+def _recorded_arguments(monkeypatch, module, name) -> list:
+    """Patch `module.name` to record its one argument on every call; the
+    returned list fills as the patched function runs."""
+    seen = []
+    original = getattr(module, name)
+
+    def recording(argument):
+        seen.append(argument)
+        return original(argument)
+
+    monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+def _exponent_matrix_cokernels(varieties) -> list[FgAbelianGroup]:
+    """The Smith-form route to the compulsory torsion that its lemma replaces."""
+    return [cokernel(exponent_matrix(total_coordinate_space(v).tcs)) for v in varieties]
+
+
 def _assert_same_exact_stage(rows):
     expected = eliminate_exact_reference([dict(row) for row in rows])
     assert exactlinalg._eliminate_exact([dict(row) for row in rows]) == expected, rows
@@ -587,15 +609,21 @@ class TestExactStageAgainstReference:
             _assert_same_exact_stage(_random_sparse_rows(rng))
 
     def test_inputs_of_the_golden_corpus(self, monkeypatch):
-        # The lattice saturation check of the golden du Val squares feeds
-        # the engine rows that no golden run does.
+        # The lattice saturation check of the golden du Val squares, and the
+        # exponent matrices whose torsion the compulsory torsion lemma gives,
+        # feed the engine rows that no golden run does.
         varieties = [
             TrinomialVariety(spec["blocks"], spec.get("m", 0)) for _, spec in make_golden.inputs()
         ]
         hyperplatonic = [v for v in varieties if is_hyperplatonic(v)]
+        torsion = _recorded_arguments(monkeypatch, classgroup, "compulsory_torsion")
         inputs = _recorded_exact_inputs(
             monkeypatch,
-            lambda: (make_golden.records(), list(map(duval_saturation_by_lattice, hyperplatonic))),
+            lambda: (
+                make_golden.records(),
+                list(map(duval_saturation_by_lattice, hyperplatonic)),
+                _exponent_matrix_cokernels(torsion),
+            ),
         )
         assert len(inputs) > 100
         for rows in inputs:
@@ -607,6 +635,8 @@ class TestExactStageAgainstReference:
         inputs = _recorded_exact_inputs(
             monkeypatch, lambda: [class_group_report(v, GroupMethod.BOTH) for v in varieties]
         )
+        assert len(inputs) == len(ladders)  # one Smith form per report
+        inputs += _recorded_exact_inputs(monkeypatch, lambda: _exponent_matrix_cokernels(varieties))
         assert len(inputs) == 2 * len(ladders)
         for rows in inputs:
             _assert_same_exact_stage(rows)

@@ -3,13 +3,15 @@
 `tests/golden/cli.jsonl` was written by `tests/make_golden.py`; any change
 to an output of ``report --method both``, ``coxring`` or ``duval`` on its
 trinomial inputs, or of ``type1-classgroup`` or ``adjust`` on its Type 1
-inputs, fails here.  A report also round-trips through its adjusted form.
+inputs, fails here.  A report also round-trips through its adjusted form,
+and the routes that take the class group by its formula run no Smith form.
 """
 
 import json
 import random
 
 import make_golden
+from tricl import exactlinalg
 
 
 def test_cli_output_matches_golden():
@@ -50,3 +52,21 @@ def test_report_round_trips_through_its_adjusted_form(tmp_path):
         for echo in ("input", "file", "adjusted"):
             del first[echo], second[echo]
         assert second == first, name
+
+
+def test_formula_routes_run_no_smith_form(tmp_path, monkeypatch):
+    """`classgroup` and `report` under `--method formula`, and
+    `type1-classgroup`, which takes the lift's group by its formula, give the
+    same records on the golden inputs when every Smith form fails."""
+    formula = (("classgroup", "--method", "formula"), ("report", "--method", "formula"))
+    runs = [(name, spec, command) for name, spec in make_golden.inputs() for command in formula]
+    runs += [(name, spec, ("type1-classgroup",)) for name, spec in make_golden.type1_inputs()]
+    expected = [make_golden.run(*run, tmp_path) for run in runs]
+    assert sum(record["exit_code"] == 0 for record in expected) > len(runs) // 2
+
+    def refuse(matrix):
+        raise AssertionError("a Smith form ran")
+
+    monkeypatch.setattr(exactlinalg, "smith_invariants", refuse)
+    for run, record in zip(runs, expected):
+        assert make_golden.run(*run, tmp_path) == record, run[:1] + run[2:]

@@ -3,10 +3,17 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import duval_saturation_by_lattice, relation_degree_order
+from oracles import (
+    duval_saturation_by_lattice,
+    exponent_matrix,
+    relation_degree_order,
+    torsion_part,
+)
+from test_variety import criterion_9_multisets
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
     class_group_formula,
@@ -33,7 +40,6 @@ from tricl.variety import (
     adjust,
     block_invariants,
     dimension,
-    exponent_matrix,
     is_adjusted,
     rationality_class,
 )
@@ -182,16 +188,17 @@ class TestType1Transfer:
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
-def _block(draw, gcd):
-    """1-4 exponents with gcd exactly `gcd`; a gcd-1 block gets two, so that
-    `adjust` never eliminates it."""
-    size = draw(st.integers(2 if gcd == 1 else 1, 4))
+def _block(draw, gcd, max_size):
+    """1 to `max_size` exponents with gcd exactly `gcd`; a gcd-1 block gets
+    at least two, so that `adjust` never eliminates it."""
+    size = draw(st.integers(2 if gcd == 1 else 1, max_size))
     return [gcd] + [gcd * draw(st.integers(1, 4)) for _ in range(size - 1)]
 
 
 @st.composite
-def adjusted_rational(draw):
-    """Adjusted rational data with 3-17 blocks, case II (c <= 64) or case III.
+def adjusted_rational(draw, max_size=4):
+    """Adjusted rational data with 3-17 blocks of 1 to `max_size` variables,
+    case II (c <= 64) or case III.
 
     Case II: L0 and L1 share exactly c, and every other pair of block gcds
     is coprime.  Case III: L0, L1, L2 are 2 times pairwise coprime odd
@@ -208,7 +215,7 @@ def adjusted_rational(draw):
         leading = [c * draw(st.sampled_from((1, primes.pop()))) for _ in range(2)]
         leading.append(draw(st.sampled_from((1, primes.pop()))))
     tail = [draw(st.sampled_from((1, primes.pop()))) for _ in range(count - 3)]
-    blocks = [_block(draw, g) for g in leading + tail]
+    blocks = [_block(draw, g, max_size) for g in leading + tail]
     variety, _ = adjust(TrinomialVariety(blocks, draw(st.integers(0, 2))))
     assert len(variety.blocks) == count and rationality_class(variety).is_rational
     return variety
@@ -240,6 +247,33 @@ class TestWideRationalInput:
     @WIDE_INPUT
     @given(adjusted_rational())
     def test_compulsory_torsion_is_the_exponent_matrix_torsion(self, variety):
-        # compulsory_torsion raises OracleMismatchError when its two routes differ.
-        tcs = total_coordinate_space(variety).tcs
-        assert compulsory_torsion(variety) == cokernel(exponent_matrix(tcs)).torsion_part()
+        _assert_compulsory_torsion_lemma(variety)
+
+
+def _assert_compulsory_torsion_lemma(variety):
+    """`compulsory_torsion` raises OracleMismatchError unless its closed form
+    equals the lemma on the TCS block gcds; both must be the torsion of the
+    cokernel of the TCS exponent matrix, which the lemma stands for."""
+    tcs = total_coordinate_space(variety).tcs
+    expected = torsion_part(cokernel(exponent_matrix(tcs)))
+    assert compulsory_torsion(variety) == expected, (variety.blocks, variety.m)
+
+
+class TestCompulsoryTorsionLemma:
+    """The lemma against the Smith form it replaced, beyond the wide input."""
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_criterion_9_enumeration(self, m):
+        checked = 0
+        for combo in criterion_9_multisets():
+            variety, _ = adjust(TrinomialVariety(combo, m))
+            kind = rationality_class(variety)
+            if kind.is_rational and not kind.is_factorial and not variety.is_degenerate:
+                _assert_compulsory_torsion_lemma(variety)
+                checked += 1
+        assert checked > 10_000
+
+    @WIDE_INPUT
+    @given(adjusted_rational(max_size=MAX_BLOCK))
+    def test_wide_blocks_up_to_the_block_cap(self, variety):
+        _assert_compulsory_torsion_lemma(variety)

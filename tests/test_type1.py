@@ -1,5 +1,8 @@
 """Tests for the Type 1 family and its lift to trinomial data."""
 
+import warnings
+from fractions import Fraction
+
 import pytest
 
 from tricl.classgroup import NOT_FINITELY_GENERATED, class_group_formula
@@ -40,6 +43,27 @@ class TestAdjustType1:
     def test_validation(self):
         with pytest.raises(NonPositiveExponentError):
             T([[2], [0]])
+
+    def test_exact_theta_kept_on_adjusted_input(self):
+        # The one coefficient contract of `adjust`: unchanged order keeps theta.
+        v = T([[5], [3], [2]], theta=["1", "1/2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adjusted = adjust_type1(v)
+        assert adjusted is v and adjusted.theta == (Fraction(1), Fraction(1, 2))
+        assert is_adjusted(adjusted)
+
+    def test_exact_theta_reset_warns(self):
+        with pytest.warns(UserWarning, match="exact coefficients were reset"):
+            adjusted = adjust_type1(T([[3], [5], [2]], theta=["1", "1/2"]))
+        assert adjusted.blocks == ((5,), (3,), (2,)) and adjusted.theta is None
+
+    def test_fixed_first_coefficient_alone_resets_silently(self):
+        # theta_1 = 1 holds in every Type 1 variety, so its reset loses nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adjusted = adjust_type1(T([[3], [5], [2]], theta=["1", "generic"]))
+        assert adjusted.theta is None
 
     def test_theta_rules(self):
         # r - 1 coefficients, the first fixed to 1

@@ -22,6 +22,7 @@ from oracles import (
     adjust_by_pair_search,
     adjusted_reference,
     counts_reference,
+    exponent_matrix,
     rationality_reference,
 )
 from tricl.coxring import duval_diagram, is_hyperplatonic, iterate_cox_rings, total_coordinate_space
@@ -42,7 +43,6 @@ from tricl.variety import (
     adjust,
     block_invariants,
     dimension,
-    exponent_matrix,
     is_adjusted,
     rationality_class,
     render_relations,
@@ -415,13 +415,20 @@ class TestDerivedValues:
             assert_same_as_checked(value)
 
     def test_type1_adjust_and_lift(self, monkeypatch):
+        reordered = []
+
         def run():
             for blocks in TYPE1_BLOCK_LISTS:
                 for m in (0, 2):
-                    lift_to_type2(adjust_type1(Type1Variety(blocks, m)))
+                    variety = Type1Variety(blocks, m)
+                    adjusted = adjust_type1(variety)
+                    reordered.append(adjusted is not variety)
+                    lift_to_type2(adjusted)
 
         values = _recorded_derived(monkeypatch, run)
-        assert len(values) == 4 * len(TYPE1_BLOCK_LISTS)
+        # Every lift is derived; input in adjusted order comes back as itself.
+        assert len(values) == 2 * len(TYPE1_BLOCK_LISTS) + sum(reordered)
+        assert 0 < sum(reordered) < len(reordered)
         for value in values:
             assert_same_as_checked(value)
 
