@@ -285,11 +285,10 @@ class GroupMethod(enum.Enum):
 class ClassGroupReport:
     """Bundle of the class group data for one adjusted variety.
 
-    ``rank_check`` pairs the rank n_tilde with the dimension difference
-    dim(TCS) - dim(X), which the construction of the total coordinate space
-    makes equal, so it is not computed again: source block i gives c(i) TCS
-    blocks of n_i variables, m stays, and k blocks carry k - 2 relations, so
-    dim(TCS) - dim(X) = sum((c(i) - 1) n_i - c(i) + 1) = n_tilde.  For
+    ``n_tilde`` is the rank, which equals dim(TCS) - dim(X) by the
+    construction of the total coordinate space: source block i gives c(i)
+    TCS blocks of n_i variables, m stays, and k blocks carry k - 2
+    relations, so dim(TCS) - dim(X) = sum((c(i) - 1) n_i - c(i) + 1).  For
     non-rational input only ``group`` (the marker) and ``method`` are
     populated.  ``snf`` is the group the Smith-normal-form route computed,
     None when that route did not run: method FORMULA, or factorial,
@@ -300,7 +299,6 @@ class ClassGroupReport:
     group: ClassGroup
     method: GroupMethod
     n_tilde: Optional[int]
-    rank_check: Optional[tuple[int, int]]
     ctors: Optional[FgAbelianGroup]
     snf: Optional[FgAbelianGroup] = None
 
@@ -316,10 +314,10 @@ def class_group_report(
     """
     kind = rationality_class(variety)
     if not kind.is_rational:
-        return ClassGroupReport(NOT_FINITELY_GENERATED, method, None, None, None)
+        return ClassGroupReport(NOT_FINITELY_GENERATED, method, None, None)
     if kind.is_factorial:
         # Its own total coordinate space with every c(i) = 1: both ranks are 0.
-        return ClassGroupReport(TRIVIAL_GROUP, method, 0, (0, 0), TRIVIAL_GROUP)
+        return ClassGroupReport(TRIVIAL_GROUP, method, 0, TRIVIAL_GROUP)
 
     formula = class_group_formula(variety) if method is not GroupMethod.SNF else None
     snf = class_group_snf(variety) if method is not GroupMethod.FORMULA else None
@@ -335,6 +333,4 @@ def class_group_report(
         raise OracleMismatchError(
             f"group rank {group.rank} disagrees with the rank formula {rank}"
         )
-    return ClassGroupReport(
-        group, method, rank, (rank, rank), compulsory_torsion(variety), snf
-    )
+    return ClassGroupReport(group, method, rank, compulsory_torsion(variety), snf)

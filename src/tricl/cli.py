@@ -32,7 +32,6 @@ import functools
 import json
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -67,6 +66,7 @@ from .type1 import Type1Variety, adjust_type1, class_group_type1, lift_to_type2
 from .variety import (
     MAX_BLOCK,
     TrinomialVariety,
+    _coerce_theta,
     adjust,
     block_invariants,
     check_size,
@@ -125,11 +125,10 @@ def parse_spec(text: str) -> dict:
         if not isinstance(theta, list) or not all(isinstance(t, str) for t in theta):
             raise SpecError("field 'theta' must be a list of strings ('p/q' or 'generic')")
         for i, t in enumerate(theta):
-            if t != "generic":
-                try:
-                    Fraction(t)
-                except (ValueError, ZeroDivisionError):
-                    raise SpecError(f"theta[{i}] is neither 'generic' nor a rational: {t!r}")
+            try:
+                _coerce_theta([t])  # the constructors' rule for one coefficient
+            except InvalidVarietyError:
+                raise SpecError(f"theta[{i}] is neither 'generic' nor a rational: {t!r}")
 
     if len(blocks) - 1 > MAX_BLOCK:
         raise SpecError(f"{len(blocks)} blocks, more than MAX_BLOCK + 1 = {MAX_BLOCK + 1}")
@@ -200,7 +199,8 @@ def _class_group_json(adjusted: TrinomialVariety, method: GroupMethod) -> dict:
         "snf": group_json(report.snf) if report.snf is not None else None,
         "agree": True if method is GroupMethod.BOTH and report.snf is not None else None,
         "n_tilde": report.n_tilde,
-        "rank_check": list(report.rank_check) if report.rank_check else None,
+        # dim(TCS) - dim(X) equals n_tilde by construction (README, "The rank identity").
+        "rank_check": [report.n_tilde] * 2 if report.n_tilde is not None else None,
         "compulsory_torsion": group_json(report.ctors) if report.ctors else None,
     }
 

@@ -1,8 +1,9 @@
 """Total coordinate spaces, platonic triples, iteration chains, surfaces.
 
 The total coordinate space of an adjusted rational trinomial variety is again
-a trinomial variety; its block data is read off the column gcds of a
-structured integer matrix.  Iterating the construction terminates in a
+a trinomial variety; its blocks are the column gcds of the scaled exponent
+matrix P1, which a lemma reads off the block gcds, so P1 itself is built
+only when it is read.  Iterating the construction terminates in a
 factorial variety exactly for the hyperplatonic inputs, and the induced
 sequences of basic platonic triples match the quotient chains of the du Val
 surfaces Y(a, b, c) = V(T1^a + T2^b + T3^c).
@@ -26,8 +27,6 @@ from .exactlinalg import FgAbelianGroup, IntMatrix
 from .variety import (
     TrinomialVariety,
     _block_offsets,
-    _checked_n_prime,
-    _derived,
     _exponent_rows,
     _monomial,
     adjust,
@@ -36,34 +35,32 @@ from .variety import (
 )
 
 
-def _p1_rows(variety: TrinomialVariety) -> IntMatrix:
-    """The r x (n + m) matrix whose column gcds carry the TCS exponents.
-
-    The exponent matrix with row 1 divided by gcd(L0, L1) and row 2 by
-    gcd(L0, L2); both divide their rows exactly.
-    """
-    gcds = variety.block_gcds()
-    rows = _exponent_rows(variety.blocks)
-    for i in (1, 2):
-        scale = math.gcd(gcds[0], gcds[i])
-        rows[i - 1] = {j: e // scale for j, e in rows[i - 1].items()}
-    return IntMatrix.from_sparse(rows, variety.n + variety.m)
-
-
 @dataclass(frozen=True)
 class CoxConstruction:
     """Total-coordinate-space data of an adjusted rational variety.
 
     ``c`` lists the component counts c(i); ``tcs`` is the flattened (raw,
     not yet adjusted) trinomial variety with n_prime block variables and
-    r_prime + 1 blocks, c(i) identical exponent vectors per source block;
-    ``tcs_blocks`` groups them per source block.
+    r_prime + 1 blocks, c(i) identical exponent vectors per source block,
+    the column gcds of ``p1`` over that block; ``tcs_blocks`` groups them
+    per source block.  ``p1`` is built from ``source`` on each read.
     """
 
     source: TrinomialVariety
-    p1: IntMatrix
     c: tuple[int, ...]
     tcs: TrinomialVariety
+
+    @property
+    def p1(self) -> IntMatrix:
+        """The r x (n + m) exponent matrix with row 1 divided by gcd(L0, L1)
+        and row 2 by gcd(L0, L2), which divide their rows exactly.  An
+        affine space keeps its rows unscaled."""
+        source = self.source
+        rows = _exponent_rows(source.blocks)
+        if not source.is_degenerate:
+            c = source._counts
+            rows[:2] = [{j: e // d for j, e in row.items()} for row, d in zip(rows, (c[2], c[1]))]
+        return IntMatrix.from_sparse(rows, source.n + source.m)
 
     @property
     def tcs_blocks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -86,40 +83,17 @@ def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
     Factorial varieties (including degenerate affine spaces) are their own
     total coordinate space and yield the identity construction.  Otherwise
     each source block i contributes c(i) copies of the vector of column gcds
-    of the scaled exponent matrix; the free-variable count m is preserved.
-    That construction is built once per value; later calls share its fields.
-    Beyond MAX_N_PRIME generators it raises ResourceLimitError up front.
+    of the scaled exponent matrix P1, read off a lemma (see
+    ``TrinomialVariety._tcs``) without building P1; the free-variable count m
+    is preserved.  The value caches it, so later calls share it.  Beyond
+    MAX_N_PRIME generators it raises ResourceLimitError up front.
     """
     kind = rationality_class(variety)
     if not kind.is_rational:
         raise NotRationalError("the total coordinate space needs a rational variety")
-
     if kind.is_factorial:
-        # Every pairwise gcd is 1, so no row of the exponent matrix is scaled.
-        p1 = IntMatrix.from_sparse(_exponent_rows(variety.blocks), variety.n + variety.m)
-        return CoxConstruction(variety, p1, (1,) * len(variety.blocks), variety)
-
-    # Kept in the value's instance dict, like its other analysis.  The parts
-    # hold no reference back to `variety`, so the cache makes no cycle.
-    parts = variety.__dict__.get("_tcs_parts")
-    if parts is None:
-        _checked_n_prime(variety)
-        parts = variety.__dict__["_tcs_parts"] = _tcs_parts(variety)
-    return CoxConstruction(variety, *parts)
-
-
-def _tcs_parts(variety: TrinomialVariety) -> tuple:
-    """The fields after ``source`` of a non-factorial `CoxConstruction`."""
-    p1 = _p1_rows(variety)
-    gcds = [0] * variety.n  # column gcds of P1, whose last m columns hold no entries
-    for row in p1._sparse:
-        for j, x in row.items():
-            gcds[j] = math.gcd(gcds[j], x)
-    counts = variety._counts
-    offsets = _block_offsets(variety.blocks)
-    vectors = [tuple(gcds[o : o + len(block)]) for o, block in zip(offsets, variety.blocks)]
-    flat = tuple(vector for vector, k in zip(vectors, counts) for _ in range(k))
-    return p1, counts, _derived(TrinomialVariety, flat, variety.m)
+        return CoxConstruction(variety, (1,) * len(variety.blocks), variety)
+    return CoxConstruction(variety, variety._counts, variety._tcs)
 
 
 _ADE_BY_TRIPLE = {(5, 3, 2): "E8", (4, 3, 2): "E6", (3, 3, 2): "D4"}

@@ -22,12 +22,13 @@ their parts are tuples of positive `int` exponents taken from a checked
 value, an `int` m and no coefficients.
 
 Analyse once.  A value caches its block gcds L_i, whether it is adjusted,
-its rationality class and its component counts c(i), each computed on first
-use and kept only as long as the value.  The cache takes no lock: two
-threads may both compute a field, but it is a function of the frozen fields
-alone, so both store equal values.  `adjust` reuses the input's gcds and
-hands its result the gcds in adjusted order and the adjusted flag; input
-already in adjusted order comes back as the same object.
+its rationality class, its component counts c(i) and its total coordinate
+space, each computed on first use and kept only as long as the value.  The
+cache takes no lock: two threads may both compute a field, but it is a
+function of the frozen fields alone, so both store equal values.  `adjust`
+reuses the input's gcds and hands its result the gcds in adjusted order and
+the adjusted flag; input already in adjusted order comes back as the same
+object.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -64,6 +66,9 @@ def _coerce_theta(theta) -> Optional[tuple[Theta, ...]]:
             out.append(item)
             continue
         try:
+            if isinstance(item, (str, Decimal)) and "e" in str(item).lower():
+                # Refused at once: Fraction("1e100000000") computes 10^100000000.
+                raise ValueError("exponent notation")
             out.append(Fraction(item))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidVarietyError(
@@ -277,6 +282,26 @@ class TrinomialVariety(_Variety):
         c0, c1, c2 = math.gcd(l1, l2), math.gcd(l0, l2), math.gcd(l0, l1)
         # gcd(c1, c2) = gcd(L0, L1, L2) divides every c(i): the quotient is exact.
         return (c0, c1, c2) + (c0 * c1 * c2 // math.gcd(c1, c2),) * (len(gcds) - 3)
+
+    @_analysis
+    def _tcs(self) -> "TrinomialVariety":
+        """The raw total coordinate space of a rational non-factorial value.
+
+        Block i is c(i) copies of the column gcds of P1 over block i, which
+        are l_i / d_i.  Row k >= 1 of P1 is (-l_0, l_k) with row k divided
+        by d_k = gcd(L0, Lk) for k = 1, 2, and d_k = 1 for k >= 3.  So a
+        column of block i >= 1 holds the one entry l_ij / d_i, and a column
+        of block 0 holds -l_0j / d_1, -l_0j / d_2 and, if r >= 3, -l_0j,
+        whose gcd is l_0j / d_0 with d_0 = lcm(d_1, d_2).  Here d_1 = c(2)
+        and d_2 = c(1).  It holds no reference back to this value, so
+        caching it makes no cycle.
+        """
+        _checked_n_prime(self)
+        c = self._counts
+        divisors = (math.lcm(c[1], c[2]), c[2], c[1]) + (1,) * (len(c) - 3)
+        vectors = [tuple([e // d for e in block]) for block, d in zip(self.blocks, divisors)]
+        flat = tuple([vector for vector, k in zip(vectors, c) for _ in range(k)])
+        return _derived(TrinomialVariety, flat, self.m)
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ def test_criterion_03_oracle_equivalence(rational_corpus):
         assert formula == snf, f"{v.blocks}: {formula} != {snf}"
 
         report_data = class_group_report(v, GroupMethod.BOTH)
-        assert report_data.rank_check[0] == report_data.rank_check[1] == formula.rank
+        assert report_data.n_tilde == formula.rank
 
         order = relation_degree_order(v)
         assert order == (1 if kind.kind is RationalityKind.CASE_II else 2)

@@ -329,7 +329,6 @@ class TestClassGroupReport:
     def test_both_methods_agree(self):
         report = class_group_report(V([[2, 4], [2], [2, 6]]), GroupMethod.BOTH)
         assert report.group == G(2, (2,))
-        assert report.rank_check == (2, 2)
         assert report.n_tilde == 2
         # all three leading gcds are 2, so the forced torsion Z/(L_i/2) vanishes
         assert report.ctors.is_trivial
@@ -337,7 +336,7 @@ class TestClassGroupReport:
     def test_factorial_report(self):
         report = class_group_report(V([[2], [3], [5]]))
         assert report.group.is_trivial
-        assert report.rank_check == (0, 0)
+        assert report.n_tilde == 0
         assert report.ctors.is_trivial
 
     def test_non_rational_report(self):
@@ -360,8 +359,13 @@ class TestTotalCoordinateSpaceBuiltOnce:
     )
     def test_report_builds_it_once(self, monkeypatch, blocks):
         built = []
-        p1_rows = coxring._p1_rows
-        monkeypatch.setattr(coxring, "_p1_rows", lambda v: built.append(v) or p1_rows(v))
+        derive = TrinomialVariety._tcs.function
+
+        def counting(variety):
+            built.append(variety)
+            return derive(variety)
+
+        monkeypatch.setattr(TrinomialVariety._tcs, "function", counting)
         variety = V(blocks)
         class_group_report(variety, GroupMethod.BOTH)
         assert built == [variety]
@@ -385,7 +389,8 @@ class TestResourceLimit:
     """Beyond MAX_N_PRIME TCS generators every route refuses up front."""
 
     def test_refused_before_any_matrix_is_built(self, monkeypatch):
-        monkeypatch.setattr(coxring, "_p1_rows", lambda v: pytest.fail("built P1"))
+        refuse = property(lambda cox: pytest.fail("built P1"))
+        monkeypatch.setattr(coxring.CoxConstruction, "p1", refuse)
         c = MAX_N_PRIME  # n' = c + 2
         routes = (
             class_group_formula,

@@ -262,6 +262,33 @@ class TestSubcommands:
         assert cox["tcs_blocks"] == [[2], [1], [3, 3], [3, 3]]
         assert cox["p1"] == [[-2, 1, 0, 0], [-4, 0, 3, 3]]
 
+    def test_coxring_of_an_affine_space_keeps_p1_unscaled(self, tmp_path, capsys):
+        # Adjusted to [[4], [2]]: two blocks carry no relation, so the row is
+        # not divided by gcd(L0, L1) = 2.
+        path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": [[2], [4]]})
+        code, out, _ = run_cli(capsys, "--format", "json", "coxring", path)
+        assert code == EXIT_OK
+        cox = json.loads(out)["coxring"]
+        assert cox["p1"] == [[-4, 2]] and cox["c"] == [1, 1]
+        assert cox["tcs_blocks"] == [[4], [2]]
+
+    @pytest.mark.parametrize(
+        "command, blocks, theta",
+        [
+            ("validate", [[2], [2], [2], [3]], ["1e100000000"]),
+            ("classgroup", [[2], [2], [2], [3]], ["2.5E-3"]),
+            # This once rendered 10^5000 in its relations and exited 5.
+            ("adjust", [[6], [3], [4], [2], [5]], ["1e5000", "2"]),
+        ],
+    )
+    def test_theta_in_exponent_notation_exits_2(self, tmp_path, capsys, command, blocks, theta):
+        path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": blocks, "theta": theta})
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "--format", "json", command, path)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_INVALID_INPUT and out == ""
+        assert json.loads(err)["error_type"] == "SpecError"
+
     def test_coxring_not_rational_exits_3(self, tmp_path, capsys):
         path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": [[6], [3], [4]]})
         code, out, err = run_cli(capsys, "--format", "json", "coxring", path)

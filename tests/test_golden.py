@@ -4,14 +4,15 @@
 to an output of ``report --method both``, ``coxring`` or ``duval`` on its
 trinomial inputs, or of ``type1-classgroup`` or ``adjust`` on its Type 1
 inputs, fails here.  A report also round-trips through its adjusted form,
-and the routes that take the class group by its formula run no Smith form.
+the routes that take the class group by its formula run no Smith form, and
+only ``coxring`` builds the matrix P1.
 """
 
 import json
 import random
 
 import make_golden
-from tricl import exactlinalg
+from tricl import coxring, exactlinalg
 
 
 def test_cli_output_matches_golden():
@@ -68,5 +69,25 @@ def test_formula_routes_run_no_smith_form(tmp_path, monkeypatch):
         raise AssertionError("a Smith form ran")
 
     monkeypatch.setattr(exactlinalg, "smith_invariants", refuse)
+    for run, record in zip(runs, expected):
+        assert make_golden.run(*run, tmp_path) == record, run[:1] + run[2:]
+
+
+def test_only_coxring_builds_p1(tmp_path, monkeypatch):
+    """Every command but `coxring` gives the same records on the golden
+    inputs when building P1 fails: the total coordinate space is read off
+    its lemma."""
+    commands = [("classgroup", "--method", m) for m in ("formula", "snf", "both")]
+    commands += [("report", "--method", m) for m in ("formula", "snf", "both")]
+    commands += [("iterate",), ("duval",)]
+    runs = [(name, spec, command) for name, spec in make_golden.inputs() for command in commands]
+    runs += [(name, spec, ("type1-classgroup",)) for name, spec in make_golden.type1_inputs()]
+    expected = [make_golden.run(*run, tmp_path) for run in runs]
+    assert sum(record["exit_code"] == 0 for record in expected) > len(runs) // 2
+
+    def refuse(cox):
+        raise AssertionError("P1 was built")
+
+    monkeypatch.setattr(coxring.CoxConstruction, "p1", property(refuse))
     for run, record in zip(runs, expected):
         assert make_golden.run(*run, tmp_path) == record, run[:1] + run[2:]

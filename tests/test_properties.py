@@ -1,6 +1,7 @@
 """Cross-module properties on the randomized corpora."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     duval_saturation_by_lattice,
     exponent_matrix,
+    p1_rows_reference,
     relation_degree_order,
     torsion_part,
 )
@@ -277,3 +279,38 @@ class TestCompulsoryTorsionLemma:
     @given(adjusted_rational(max_size=MAX_BLOCK))
     def test_wide_blocks_up_to_the_block_cap(self, variety):
         _assert_compulsory_torsion_lemma(variety)
+
+
+def _assert_tcs_lemma(variety):
+    """The TCS blocks are c(i) copies of the column gcds of P1 over block i,
+    with P1 built row by row by the oracle."""
+    p1 = p1_rows_reference(variety)
+    gcds = [math.gcd(*column) for column in zip(*map(p1.row, range(p1.rows)))]
+    cox = total_coordinate_space(variety)
+    vectors, start = [], 0
+    for block in variety.blocks:
+        vectors.append(tuple(gcds[start : start + len(block)]))
+        start += len(block)
+    expected = tuple(vector for vector, k in zip(vectors, cox.c) for _ in range(k))
+    assert cox.c == block_invariants(variety).c
+    assert cox.tcs.blocks == expected and cox.tcs.m == variety.m, (variety.blocks, variety.m)
+
+
+class TestTotalCoordinateSpaceLemma:
+    """The TCS blocks read off the block gcds against the P1 column scan they replaced."""
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_criterion_9_enumeration(self, m):
+        checked = 0
+        for combo in criterion_9_multisets():
+            variety, _ = adjust(TrinomialVariety(combo, m))
+            kind = rationality_class(variety)
+            if kind.is_rational and not kind.is_factorial:
+                _assert_tcs_lemma(variety)
+                checked += 1
+        assert checked > 10_000
+
+    @WIDE_INPUT
+    @given(adjusted_rational(max_size=MAX_BLOCK))
+    def test_wide_blocks_up_to_the_block_cap(self, variety):
+        _assert_tcs_lemma(variety)
