@@ -64,6 +64,7 @@ from .exactlinalg import IntMatrix
 from .selftest import run_selftest
 from .type1 import Type1Variety, adjust_type1, class_group_type1, lift_to_type2
 from .variety import (
+    GENERIC_THETA,
     MAX_BLOCK,
     TrinomialVariety,
     _coerce_theta,
@@ -168,6 +169,8 @@ def _variety_json(variety: Union[TrinomialVariety, Type1Variety]) -> dict:
 
 
 def _adjusted_json(adjusted: TrinomialVariety, record) -> dict:
+    # render_relations prints every exact coefficient.
+    _printable([list(t.as_integer_ratio()) for t in adjusted.theta or () if t != GENERIC_THETA])
     return {
         **_variety_json(adjusted),
         "eliminated_blocks": list(record.eliminated),

@@ -30,11 +30,10 @@ the case-III grading matrices reached hundreds of thousands of bits
 
 The exact stage takes its pivots from a heap of columns keyed by Markowitz
 (fill-in) cost and re-keyed only where a pivot changed something (Dumas,
-Saunders and Villard, J. Symbolic Comput. 32, 2001).  It leaves at most a
-few dozen rows, so the Bareiss and mod-D stages scan them for each pivot.
-The three elimination stages keep their rows in `_Rows`, whose column
-index finds the rows a pivot touches, so the work follows the nonzeros of
-the sparse matrices, not their cells.
+Saunders and Villard, J. Symbolic Comput. 32, 2001).  M^T has the Smith
+form of M transposed, so each stage gets whichever has fewer rows.  All
+three keep their rows in `_Rows`, whose column index finds the rows a
+pivot touches, so the work follows the nonzeros, not the cells.
 """
 
 from __future__ import annotations
@@ -473,21 +472,34 @@ def _chain(factors: Iterable[int]) -> tuple[int, ...]:
 TRIVIAL_GROUP = FgAbelianGroup(0, ())
 
 
+def _transpose(rows: Iterable[SparseRow]) -> list[SparseRow]:
+    """The nonzero columns of `rows`, as sparse rows indexed by row number."""
+    columns: defaultdict[int, SparseRow] = defaultdict(dict)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j][i] = x
+    return list(columns.values())
+
+
 def smith_invariants(matrix: IntMatrix) -> SmithData:
     """Rank and invariant-factor chain of an integer matrix.
 
     Deterministic and exact; empty matrices are allowed and have rank 0.
-    What `_eliminate_exact` leaves, of width n and row lattice L, is reduced
+    `_eliminate_exact` gets M or M^T, whichever has fewer rows, and what it
+    leaves, turned the same way, of width n and row lattice L, is reduced
     modulo a nonzero rank x rank minor D.  Every invariant factor d_i
     divides D, and Z^n / (L + D Z^n) = Z/d_1 x ... x Z/d_rank x
     (Z/D)^(n - rank): the diagonal mod D gives Z/gcd(pivot, D) per pivot
     and Z/D per missing one, whose chain ends in the n - rank copies of Z/D
     that stand for the free part.  (Z/2 x Z/3 may stand for Z/6.)
     """
-    torsion, rest = _eliminate_exact([dict(row) for row in matrix._sparse if row])
+    rows = [dict(row) for row in matrix._sparse if row]
+    torsion, rest = _eliminate_exact(_transpose(rows) if matrix.rows > matrix.cols else rows)
     rank = len(torsion)
     if rest:
         width = len(set().union(*rest))
+        if len(rest) > width:
+            rest, width = _transpose(rest), len(rest)
         rest_rank, minor = _rank_and_minor(rest)
         rank += rest_rank
         if minor > 1:

@@ -605,6 +605,12 @@ WIDE_CASE_II = [[NINES], [NINES], [2] * 16]  # n' = 2 + 16 NINES
 E6_BLOCKS = [[4], [2], [3, 3]]
 # Case III whose factor L0 L1 L2 / 4 has about 5,460 digits.
 HUGE_CASE_III = [[2 * 3**4000], [2 * 5**2666], [2 * 7**2000]]
+# A plain decimal whose denominator 10^limit has one digit too many to print,
+# in the adjusted relations that `adjust` and `report` write.
+LONG_THETA = {
+    "blocks": [[6], [3], [4], [2], [5]],
+    "theta": ["1." + "0" * (sys.get_int_max_str_digits() - 1) + "1", "2"],
+}
 
 
 class TestIntegersTooLongToPrint:
@@ -618,6 +624,8 @@ class TestIntegersTooLongToPrint:
             ("report", {"blocks": E6_BLOCKS, "m": NINES}, "digits"),
             ("invariants", {"blocks": E6_BLOCKS, "m": NINES}, "digits"),
             ("classgroup", {"blocks": HUGE_CASE_III}, "digits"),
+            ("adjust", LONG_THETA, "digits"),
+            ("report", LONG_THETA, "digits"),
         ],
         ids=[
             "report-wide-case-ii",
@@ -627,6 +635,8 @@ class TestIntegersTooLongToPrint:
             "report-huge-m",
             "invariants-huge-m",
             "classgroup-huge-case-iii",
+            "adjust-long-theta",
+            "report-long-theta",
         ],
     )
     @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -646,3 +656,13 @@ class TestIntegersTooLongToPrint:
         code, out, err = run_cli(capsys, "--format", "json", "invariants", path)
         assert code == EXIT_OK, err
         assert json.loads(out)["invariants"]["dimension"] == m + 3
+
+    def test_the_longest_printable_coefficient_is_written(self, tmp_path, capsys):
+        digits = sys.get_int_max_str_digits()
+        theta = "1." + "0" * (digits - 2) + "1"  # 10^(limit - 1) + 1 over 10^(limit - 1)
+        spec = {"kind": "trinomial", "blocks": LONG_THETA["blocks"], "theta": [theta, "2"]}
+        path = write_spec(tmp_path, "in.json", spec)
+        code, out, err = run_cli(capsys, "--format", "json", "adjust", path)
+        assert code == EXIT_OK, err
+        relation = json.loads(out)["adjusted"]["relations"].splitlines()[1]
+        assert relation.startswith(f"({10 ** (digits - 1) + 1}/{10 ** (digits - 1)})*")

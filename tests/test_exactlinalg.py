@@ -6,6 +6,7 @@ k-th determinantal divisor) or by explicit generator/relation elimination,
 independently of the Smith elimination they check.
 """
 
+import functools
 import math
 import random
 
@@ -46,7 +47,7 @@ from tricl.exactlinalg import (
     cokernel,
     smith_invariants,
 )
-from tricl.variety import TrinomialVariety, adjust
+from tricl.variety import RationalityKind, TrinomialVariety, adjust, rationality_class
 
 
 def M(rows, cols=None):
@@ -288,16 +289,106 @@ class TestSmithEngine:
         from sympy import ZZ, Matrix
 
         rng = random.Random(seed)
-        grading = [
-            grading_matrix(adjust(TrinomialVariety(blocks))[0])
-            for blocks in ([[2], [4], [10], [3]], [[4], [4], [3], [5]], [[2, 4], [2], [2, 6]])
-        ]
-        for a in grading + [_random_matrix(rng) for _ in range(60)]:
+        # The two seeds share out the golden grading matrices, which hold the
+        # 27 ladder points, and one more case II.
+        grading = [*_golden_grading_matrices().values()]
+        grading.append(grading_matrix(adjust(TrinomialVariety([[4], [4], [3], [5]]))[0]))
+        for a in grading[seed::2] + [_random_matrix(rng) for _ in range(60)]:
             if not a.rows or not a.cols:
                 continue
             grid = Matrix(a.rows, a.cols, list(a.entries))
             expected = tuple(abs(int(f)) for f in normalforms.invariant_factors(grid, domain=ZZ) if f)
             assert smith_invariants(a).invariant_factors == expected, a
+
+
+@functools.cache
+def _golden_grading_matrices() -> dict[str, IntMatrix]:
+    """The grading matrix of every golden input that has one, by name.  The
+    `case_*` names are the 27 points of the benchmark's Smith ladder."""
+    out = {}
+    for name, spec in make_golden.inputs():
+        adjusted = adjust(TrinomialVariety(spec["blocks"], spec.get("m", 0)))[0]
+        kind = rationality_class(adjusted).kind
+        if not adjusted.is_degenerate and kind in (RationalityKind.CASE_II, RationalityKind.CASE_III):
+            out[name] = grading_matrix(adjusted)
+    return out
+
+
+def _assert_orientation_free(a: IntMatrix) -> None:
+    data = smith_invariants(a)
+    assert smith_invariants(transpose(a)) == data, a
+    assert cokernel(a).rank == a.cols - data.rank
+    assert cokernel(transpose(a)).rank == a.rows - data.rank
+
+
+def _shape(rows) -> tuple[int, int]:
+    """(rows, columns used) of sparse rows."""
+    return len(rows), len(set().union(*rows))
+
+
+class TestOrientation:
+    """SNF(M^T) = SNF(M)^T, so the engine eliminates whichever of M and M^T
+    has fewer rows; the cokernel keeps the free rank of M."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+    def test_seeded_matrices_with_zero_rows_and_columns(self, seed, shape):
+        rng = random.Random(f"{shape}:{seed}")
+        for _ in range(150):
+            small, large = sorted((rng.randint(1, 9), rng.randint(1, 9)))
+            rows, cols = {"tall": (large + 1, small), "wide": (small, large + 1)}.get(
+                shape, (small, small)
+            )
+            bound = rng.choice([1, 3, 30, 10**12])
+            density = rng.choice([0.2, 0.5, 0.9])
+            grid = [
+                [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+                grid[i] = [0] * cols
+            for j in rng.sample(range(cols), rng.randint(0, cols // 2)):
+                for row in grid:
+                    row[j] = 0
+            a = M(grid, cols)
+            _assert_orientation_free(a)
+            data = smith_invariants(a)
+            assert (data.rank, data.invariant_factors) == smith_oracle(a), a
+
+    def test_empty_and_zero_matrices(self):
+        for rows, cols in [(0, 0), (0, 3), (3, 0), (4, 2)]:
+            a = M([[0] * cols for _ in range(rows)], cols)
+            _assert_orientation_free(a)
+            assert cokernel(a) == FgAbelianGroup(cols, ())
+
+    def test_grading_matrices_of_the_golden_corpus(self):
+        matrices = _golden_grading_matrices()
+        assert len(matrices) > 27  # the ladder and more
+        for a in matrices.values():
+            _assert_orientation_free(a)
+
+    @pytest.mark.parametrize(
+        "blocks, shape, exact, bareiss",
+        [
+            # The exact stage gets M^T, and its 20 x 28 remainder stays so.
+            ([[2], [4], [10], [3], [7], [11], [13], [17], [19]], (38, 30), (30, 38), [(20, 28)]),
+            # The exact stage gets M and clears it.
+            ([[8, 16], [8], [3, 3], [5, 5]], (25, 35), (25, 35), []),
+            # Taller than wide only by its one-variable blocks: M^T leaves a
+            # 4 x 3 remainder, which Bareiss gets as 3 x 4.
+            ([[8, 5], [6, 3], [3]], (10, 9), (9, 10), [(3, 4)]),
+        ],
+        ids=["case_iii-9", "case_ii_wide-c8", "mixed-10x9"],
+    )
+    def test_each_stage_gets_the_orientation_with_fewer_rows(
+        self, monkeypatch, blocks, shape, exact, bareiss
+    ):
+        a = grading_matrix(adjust(TrinomialVariety(blocks))[0])
+        assert (a.rows, a.cols) == shape
+        remainders = _recorded_arguments(monkeypatch, exactlinalg, "_rank_and_minor")
+        (rows,) = _recorded_exact_inputs(monkeypatch, lambda: smith_invariants(a))
+        assert _shape(rows) == exact
+        assert list(map(_shape, remainders)) == bareiss
 
 
 class TestCokernel:
