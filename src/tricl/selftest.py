@@ -2,26 +2,24 @@
 
 Every case pins a published value: the worked hypersurface examples, the
 hyperplatonic table, the quotient chains of the du Val surfaces, and the
-Type 1 family.  `run_selftest` evaluates all of them and reports one result
-per case; it is wired to the `tricl selftest` subcommand and doubles as a
-quick smoke test of an installation.
+Type 1 family.  Each case makes the library calls of its CLI command, so
+their cross-checks run too: `class_group_report` by both routes checks
+formula = SNF, the rank n_tilde and the compulsory-torsion lemma, and the
+Type 1 cases also take the report of their trinomial lift.  `run_selftest`
+evaluates all of them and reports one result per case; it is wired to the
+`tricl selftest` subcommand and doubles as a quick smoke test of an
+installation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .classgroup import (
-    NOT_FINITELY_GENERATED,
-    class_group_formula,
-    class_group_snf,
-    predicates,
-)
+from .classgroup import GroupMethod, class_group_report, predicates
 from .coxring import duval_diagram, iterate_cox_rings
 from .exactlinalg import FgAbelianGroup
-from .type1 import Type1Variety, adjust_type1, class_group_type1
-from .variety import TrinomialVariety, adjust
+from .type1 import Type1Variety, adjust_type1, class_group_type1, lift_to_type2
+from .variety import NOT_FINITELY_GENERATED, TrinomialVariety, adjust
 
 
 @dataclass(frozen=True)
@@ -31,98 +29,68 @@ class SelfTestResult:
     detail: str
 
 
-def _group_case(name, blocks, expected_rank, expected_factors):
-    def check() -> str:
-        expected = FgAbelianGroup(expected_rank, expected_factors)
-        v = adjust(TrinomialVariety(blocks))[0]
-        formula = class_group_formula(v)
-        if formula != expected:
-            raise AssertionError(f"formula gave {formula}, expected {expected}")
-        if not v.is_degenerate and not expected.is_trivial:
-            snf = class_group_snf(v)
-            if snf != expected:
-                raise AssertionError(f"smith cokernel gave {snf}, expected {expected}")
-        return f"Cl = {expected}"
-
-    return name, check
+def _adjusted(blocks):
+    return adjust(TrinomialVariety(blocks))[0]
 
 
-def _chain_case(name, blocks, expected_triples):
-    def check() -> str:
-        chain = iterate_cox_rings(TrinomialVariety(blocks))
-        if chain.triples != expected_triples:
-            raise AssertionError(f"chain triples {chain.triples}, expected {expected_triples}")
-        return " -> ".join(str(t) for t in reversed(chain.triples))
-
-    return name, check
+def _group(blocks):
+    group = class_group_report(_adjusted(blocks), GroupMethod.BOTH).group
+    return group, f"Cl = {group}"
 
 
-def _type1_case(name, blocks, expected):
-    def check() -> str:
-        group = class_group_type1(adjust_type1(Type1Variety(blocks)))
-        if expected is NOT_FINITELY_GENERATED:
-            if group is not NOT_FINITELY_GENERATED:
-                raise AssertionError(f"got {group}, expected not finitely generated")
-            return "not finitely generated"
-        if group != expected:
-            raise AssertionError(f"got {group}, expected {expected}")
-        return f"Cl = {expected}"
-
-    return name, check
+def _iterate(blocks):
+    triples = iterate_cox_rings(_adjusted(blocks)).triples
+    return triples, " -> ".join(str(t) for t in reversed(triples))
 
 
-def _duval_case(name, blocks):
-    def check() -> str:
-        diagram = duval_diagram(TrinomialVariety(blocks))
-        if not diagram.verified:
-            raise AssertionError("surface correspondence did not verify")
-        return f"{diagram.x_triple} -> {diagram.xprime_triple}"
-
-    return name, check
+def _duval(blocks):
+    diagram = duval_diagram(_adjusted(blocks))
+    return diagram.verified, f"{diagram.x_triple} -> {diagram.xprime_triple}"
 
 
-def _half_factorial_case():
-    def check() -> str:
-        result = predicates(TrinomialVariety([[2], [2], [2]]))
-        if not result.half_factorial:
-            raise AssertionError("quadric not recognized as half-factorial")
-        return "quadric has class group of order 2"
-
-    return "half-factorial-quadric", check
+def _half_factorial(blocks):
+    return predicates(_adjusted(blocks)).half_factorial, "quadric has class group of order 2"
 
 
-GOLDEN_CASES: tuple[tuple[str, Callable[[], str]], ...] = (
-    _group_case("hypersurface-z", [[4], [2], [3, 2]], 1, ()),
-    _group_case("hypersurface-z-x-z3", [[4], [2], [3, 3]], 1, (3,)),
-    _group_case("hypersurface-z2-x-z-squared", [[2, 4], [2], [2, 6]], 2, (2,)),
-    _group_case("quadric-z2", [[2], [2], [2]], 0, (2,)),
-    _group_case("table-row-i", [[4], [3], [2, 2]], 0, (3,)),
-    _group_case("table-row-ii", [[3], [3], [2, 2]], 2, (2, 2)),
-    _group_case("table-row-iii", [[6], [4], [1, 1]], 1, ()),
-    _group_case("table-row-iv", [[3], [2], [2]], 0, (3,)),
-    _group_case("table-row-v", [[4], [2], [2]], 0, (4,)),
-    _chain_case(
-        "chain-e6",
-        [[4], [3], [2]],
-        ((4, 3, 2), (3, 3, 2), (2, 2, 2), (1, 1, 1)),
-    ),
-    _chain_case("chain-e8", [[5], [3], [2]], ((5, 3, 2),)),
-    _chain_case("chain-torus-step", [[6], [4], [1, 1]], ((6, 4, 1), (3, 2, 1))),
-    _duval_case("duval-e6", [[4], [3], [2]]),
-    _duval_case("duval-a-family", [[2], [2], [2, 2]]),
-    _type1_case("type1-plane-curve", [[2], [2]], FgAbelianGroup(0, ())),
-    _type1_case("type1-rank-one", [[2], [1, 1]], FgAbelianGroup(1, ())),
-    _type1_case("type1-not-fg", [[3], [3]], NOT_FINITELY_GENERATED),
-    _half_factorial_case(),
+def _type1(blocks):
+    adjusted = adjust_type1(Type1Variety(blocks))
+    group = class_group_type1(adjusted)
+    # The lift's report runs for its cross-checks, as in `type1-classgroup`.
+    class_group_report(adjust(lift_to_type2(adjusted))[0], GroupMethod.FORMULA)
+    return group, str(group) if group is NOT_FINITELY_GENERATED else f"Cl = {group}"
+
+
+# (name, compute, blocks, expected): compute(blocks) gives (value, detail).
+GOLDEN_CASES = (
+    ("hypersurface-z", _group, [[4], [2], [3, 2]], FgAbelianGroup(1, ())),
+    ("hypersurface-z-x-z3", _group, [[4], [2], [3, 3]], FgAbelianGroup(1, (3,))),
+    ("hypersurface-z2-x-z-squared", _group, [[2, 4], [2], [2, 6]], FgAbelianGroup(2, (2,))),
+    ("quadric-z2", _group, [[2], [2], [2]], FgAbelianGroup(0, (2,))),
+    ("table-row-i", _group, [[4], [3], [2, 2]], FgAbelianGroup(0, (3,))),
+    ("table-row-ii", _group, [[3], [3], [2, 2]], FgAbelianGroup(2, (2, 2))),
+    ("table-row-iii", _group, [[6], [4], [1, 1]], FgAbelianGroup(1, ())),
+    ("table-row-iv", _group, [[3], [2], [2]], FgAbelianGroup(0, (3,))),
+    ("table-row-v", _group, [[4], [2], [2]], FgAbelianGroup(0, (4,))),
+    ("chain-e6", _iterate, [[4], [3], [2]], ((4, 3, 2), (3, 3, 2), (2, 2, 2), (1, 1, 1))),
+    ("chain-e8", _iterate, [[5], [3], [2]], ((5, 3, 2),)),
+    ("chain-torus-step", _iterate, [[6], [4], [1, 1]], ((6, 4, 1), (3, 2, 1))),
+    ("duval-e6", _duval, [[4], [3], [2]], True),
+    ("duval-a-family", _duval, [[2], [2], [2, 2]], True),
+    ("type1-plane-curve", _type1, [[2], [2]], FgAbelianGroup(0, ())),
+    ("type1-rank-one", _type1, [[2], [1, 1]], FgAbelianGroup(1, ())),
+    ("type1-not-fg", _type1, [[3], [3]], NOT_FINITELY_GENERATED),
+    ("half-factorial-quadric", _half_factorial, [[2], [2], [2]], True),
 )
 
 
 def run_selftest() -> list[SelfTestResult]:
     """Evaluate every golden case; failures are collected, not raised."""
     results = []
-    for name, check in GOLDEN_CASES:
+    for name, compute, blocks, expected in GOLDEN_CASES:
         try:
-            detail = check()
+            value, detail = compute(blocks)
+            if value != expected:
+                raise AssertionError(f"got {value}, expected {expected}")
             results.append(SelfTestResult(name, True, detail))
         except Exception as exc:  # noqa: BLE001 - report any failure per case
             results.append(SelfTestResult(name, False, f"{type(exc).__name__}: {exc}"))

@@ -12,7 +12,9 @@ case-III chain from 3 to 17 blocks, the case-II ladders, one input with free
 variables and four degenerate inputs.  Type 1 inputs run
 ``type1-classgroup`` and ``adjust``: the Type 1 blocks of the selftest
 corpus, three degenerate inputs and a fixed seeded set with free variables.
-Regenerate only when an output is meant to change.  Standard library only.
+The selftest inputs are read off ``tricl.selftest.GOLDEN_CASES``, so the
+golden test fails when that table changes them.  Regenerate only when an
+output is meant to change.  Standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 from tricl.cli import main as cli_main
+from tricl.selftest import GOLDEN_CASES, _type1
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
 
@@ -34,20 +37,11 @@ TYPE1_COMMANDS = (("type1-classgroup",), ("adjust",))
 
 _PRIMES = (3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
-SELFTEST_BLOCKS = (
-    [[4], [2], [3, 2]],
-    [[4], [2], [3, 3]],
-    [[2, 4], [2], [2, 6]],
-    [[2], [2], [2]],
-    [[4], [3], [2, 2]],
-    [[3], [3], [2, 2]],
-    [[6], [4], [1, 1]],
-    [[3], [2], [2]],
-    [[4], [2], [2]],
-    [[4], [3], [2]],
-    [[5], [3], [2]],
-    [[2], [2], [2, 2]],
-)
+# The selftest corpus: its trinomial blocks in table order without repeats,
+# and its Type 1 cases by name.
+_TRINOMIAL = [blocks for _, compute, blocks, _ in GOLDEN_CASES if compute is not _type1]
+SELFTEST_BLOCKS = [blocks for k, blocks in enumerate(_TRINOMIAL) if blocks not in _TRINOMIAL[:k]]
+SELFTEST_TYPE1 = [(name, blocks) for name, compute, blocks, _ in GOLDEN_CASES if compute is _type1]
 
 
 def inputs() -> list[tuple[str, dict]]:
@@ -75,10 +69,8 @@ def inputs() -> list[tuple[str, dict]]:
 
 def type1_inputs() -> list[tuple[str, dict]]:
     """(name, input file content) for every golden Type 1 input."""
-    out = [
-        ("type1-plane-curve", {"blocks": [[2], [2]]}),
-        ("type1-rank-one", {"blocks": [[2], [1, 1]]}),
-        ("type1-not-fg", {"blocks": [[3], [3]]}),
+    out = [(name, {"blocks": blocks}) for name, blocks in SELFTEST_TYPE1]
+    out += [
         ("type1-degenerate-empty", {"blocks": []}),
         ("type1-degenerate-one", {"blocks": [[2]]}),
         ("type1-degenerate-linear", {"blocks": [[1], [1]]}),

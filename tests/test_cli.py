@@ -358,6 +358,19 @@ class TestSubcommands:
         assert "FAIL type1-rank-one: AssertionError: got Z^5, expected Z" in out
         assert "selftest: 15/18 passed" in out
 
+    def test_compulsory_torsion_fault_fails_the_selftest(self, capsys, monkeypatch):
+        # The lemma is fed the first TCS block gcd twice; the group cases take
+        # the compulsory torsion through class_group_report and must see it.
+        chain = exactlinalg._chain
+        monkeypatch.setattr(classgroup, "_chain", lambda factors: chain((*factors, factors[0])))
+        failed = [result for result in selftest.run_selftest() if not result.ok]
+        assert [result.name for result in failed] == [
+            "hypersurface-z", "hypersurface-z-x-z3", "table-row-i", "table-row-iii", "table-row-v"
+        ]
+        assert all(result.detail.startswith("OracleMismatchError: ") for result in failed)
+        code, _, _ = run_cli(capsys, "selftest")
+        assert code == EXIT_INTERNAL_MISMATCH
+
     def test_selftest_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == EXIT_OK
