@@ -45,7 +45,6 @@ from .variety import (
     render_relations,
 )
 from .coxring import (
-    CoxConstruction,
     DuvalDiagram,
     IterationChain,
     IterationStep,
@@ -55,6 +54,7 @@ from .coxring import (
     duval_surface,
     is_hyperplatonic,
     iterate_cox_rings,
+    p1_matrix,
     total_coordinate_space,
 )
 from .classgroup import (

@@ -92,7 +92,7 @@ def compulsory_torsion(variety: TrinomialVariety) -> FgAbelianGroup:
     gcds = variety.block_gcds()
     factors = [g // 2 for g in gcds[:3]] if kind.kind is RationalityKind.CASE_III else []
     closed = FgAbelianGroup(0, factors + _torsion_tail(kind, gcds))
-    tcs_gcds = total_coordinate_space(variety).tcs.block_gcds()
+    tcs_gcds = total_coordinate_space(variety).block_gcds()
     lemma = FgAbelianGroup(0, _chain(tcs_gcds)[:-1])
     if closed != lemma:
         raise OracleMismatchError(
@@ -115,22 +115,23 @@ def grading_matrix(variety: TrinomialVariety) -> IntMatrix:
     variables have degree zero and contribute no columns.
     """
     kind = _require_rational_nonfactorial(variety)
-    cox = total_coordinate_space(variety)
+    tcs = total_coordinate_space(variety)
     # Flattened, the TCS blocks are the (i, t) pairs in column order.
-    offsets = _block_offsets(cox.tcs.blocks)
+    offsets = _block_offsets(tcs.blocks)
     rows = []
     start = 0
-    for copies in cox.tcs_blocks:
+    for k in variety._counts:
+        exponents = tcs.blocks[start]
         if kind.kind is RationalityKind.CASE_II:
-            rows += _relation_rows(len(copies), copies[0], offsets[start])
+            rows += _relation_rows(k, exponents, offsets[start])
         else:
-            columns = offsets[start : start + len(copies)]
-            rows += [{column + j: 1 for column in columns} for j in range(len(copies[0]))]
-        start += len(copies)
+            columns = offsets[start : start + k]
+            rows += [{column + j: 1 for column in columns} for j in range(len(exponents))]
+        start += k
     if kind.kind is RationalityKind.CASE_III:
         # The monomial rows of (i, t) less that of (0, 1): the exponent rows.
-        rows += _exponent_rows(cox.tcs.blocks)
-    return IntMatrix.from_sparse(rows, cox.n_prime)
+        rows += _exponent_rows(tcs.blocks)
+    return IntMatrix.from_sparse(rows, tcs.n)
 
 
 def _relation_rows(k: int, exponents: Sequence[int], offset: int) -> list[SparseRow]:
@@ -289,15 +290,13 @@ class ClassGroupReport:
     construction of the total coordinate space: source block i gives c(i)
     TCS blocks of n_i variables, m stays, and k blocks carry k - 2
     relations, so dim(TCS) - dim(X) = sum((c(i) - 1) n_i - c(i) + 1).  For
-    non-rational input only ``group`` (the marker) and ``method`` are
-    populated.  ``snf`` is the group the Smith-normal-form route computed,
-    None when that route did not run: method FORMULA, or factorial,
-    degenerate or non-rational input, whose group follows from the
-    rationality class alone.
+    non-rational input only ``group`` (the marker) is populated.  ``snf`` is
+    the group the Smith-normal-form route computed, None when that route
+    did not run: method FORMULA, or factorial, degenerate or non-rational
+    input, whose group follows from the rationality class alone.
     """
 
     group: ClassGroup
-    method: GroupMethod
     n_tilde: Optional[int]
     ctors: Optional[FgAbelianGroup]
     snf: Optional[FgAbelianGroup] = None
@@ -314,10 +313,10 @@ def class_group_report(
     """
     kind = rationality_class(variety)
     if not kind.is_rational:
-        return ClassGroupReport(NOT_FINITELY_GENERATED, method, None, None)
+        return ClassGroupReport(NOT_FINITELY_GENERATED, None, None)
     if kind.is_factorial:
         # Its own total coordinate space with every c(i) = 1: both ranks are 0.
-        return ClassGroupReport(TRIVIAL_GROUP, method, 0, TRIVIAL_GROUP)
+        return ClassGroupReport(TRIVIAL_GROUP, 0, TRIVIAL_GROUP)
 
     formula = class_group_formula(variety) if method is not GroupMethod.SNF else None
     snf = class_group_snf(variety) if method is not GroupMethod.FORMULA else None
@@ -333,4 +332,4 @@ def class_group_report(
         raise OracleMismatchError(
             f"group rank {group.rank} disagrees with the rank formula {rank}"
         )
-    return ClassGroupReport(group, method, rank, compulsory_torsion(variety), snf)
+    return ClassGroupReport(group, rank, compulsory_torsion(variety), snf)

@@ -50,6 +50,7 @@ from .coxring import (
     duval_diagram,
     is_hyperplatonic,
     iterate_cox_rings,
+    p1_matrix,
     total_coordinate_space,
 )
 from .errors import (
@@ -310,14 +311,15 @@ def _run_single(command: str, spec: dict, method: GroupMethod) -> dict:
     if command == "coxring":
         # P1 is written densely, one column per variable.
         check_size("n + m", adjusted.n + adjusted.m, "P1 columns")
-        cox = total_coordinate_space(adjusted)
-        tcs_adjusted, tcs_record = adjust(cox.tcs)
+        tcs = total_coordinate_space(adjusted)
+        tcs_adjusted, tcs_record = adjust(tcs)
         out["coxring"] = {
-            "c": list(cox.c),
-            "p1": _matrix_json(cox.p1),
-            "tcs_blocks": [list(b) for b in cox.tcs.blocks],
-            "n_prime": cox.n_prime,
-            "r_prime": cox.r_prime,
+            # A factorial variety is its own TCS, with every c(i) = 1.
+            "c": [1] * len(adjusted.blocks) if tcs is adjusted else list(adjusted._counts),
+            "p1": _matrix_json(p1_matrix(adjusted)),
+            "tcs_blocks": [list(b) for b in tcs.blocks],
+            "n_prime": tcs.n,
+            "r_prime": tcs.r,
             "tcs_adjusted": _adjusted_json(tcs_adjusted, tcs_record),
         }
         return out

@@ -3,7 +3,7 @@
 The total coordinate space of an adjusted rational trinomial variety is again
 a trinomial variety; its blocks are the column gcds of the scaled exponent
 matrix P1, which a lemma reads off the block gcds, so P1 itself is built
-only when it is read.  Iterating the construction terminates in a
+only by `p1_matrix`.  Iterating the construction terminates in a
 factorial variety exactly for the hyperplatonic inputs, and the induced
 sequences of basic platonic triples match the quotient chains of the du Val
 surfaces Y(a, b, c) = V(T1^a + T2^b + T3^c).
@@ -11,7 +11,6 @@ surfaces Y(a, b, c) = V(T1^a + T2^b + T3^c).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -35,65 +34,35 @@ from .variety import (
 )
 
 
-@dataclass(frozen=True)
-class CoxConstruction:
-    """Total-coordinate-space data of an adjusted rational variety.
+def total_coordinate_space(variety: TrinomialVariety) -> TrinomialVariety:
+    """The (raw, not yet adjusted) total coordinate space of an adjusted
+    rational variety, itself a trinomial variety.
 
-    ``c`` lists the component counts c(i); ``tcs`` is the flattened (raw,
-    not yet adjusted) trinomial variety with n_prime block variables and
-    r_prime + 1 blocks, c(i) identical exponent vectors per source block,
-    the column gcds of ``p1`` over that block; ``tcs_blocks`` groups them
-    per source block.  ``p1`` is built from ``source`` on each read.
-    """
-
-    source: TrinomialVariety
-    c: tuple[int, ...]
-    tcs: TrinomialVariety
-
-    @property
-    def p1(self) -> IntMatrix:
-        """The r x (n + m) exponent matrix with row 1 divided by gcd(L0, L1)
-        and row 2 by gcd(L0, L2), which divide their rows exactly.  An
-        affine space keeps its rows unscaled."""
-        source = self.source
-        rows = _exponent_rows(source.blocks)
-        if not source.is_degenerate:
-            c = source._counts
-            rows[:2] = [{j: e // d for j, e in row.items()} for row, d in zip(rows, (c[2], c[1]))]
-        return IntMatrix.from_sparse(rows, source.n + source.m)
-
-    @property
-    def tcs_blocks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        blocks = self.tcs.blocks
-        ends = itertools.accumulate(self.c)
-        return tuple(blocks[end - k : end] for k, end in zip(self.c, ends))
-
-    @property
-    def n_prime(self) -> int:
-        return self.tcs.n
-
-    @property
-    def r_prime(self) -> int:
-        return self.tcs.r
-
-
-def total_coordinate_space(variety: TrinomialVariety) -> CoxConstruction:
-    """Compute the total coordinate space of an adjusted rational variety.
-
-    Factorial varieties (including degenerate affine spaces) are their own
-    total coordinate space and yield the identity construction.  Otherwise
-    each source block i contributes c(i) copies of the vector of column gcds
-    of the scaled exponent matrix P1, read off a lemma (see
-    ``TrinomialVariety._tcs``) without building P1; the free-variable count m
-    is preserved.  The value caches it, so later calls share it.  Beyond
-    MAX_N_PRIME generators it raises ResourceLimitError up front.
+    A factorial variety (a degenerate affine space included) is its own
+    total coordinate space.  Otherwise source block i contributes c(i)
+    copies of the vector of column gcds of the scaled exponent matrix P1,
+    read off a lemma (see ``TrinomialVariety._tcs``) without building P1;
+    the free-variable count m is preserved.  The value caches it, so every
+    call returns the same object.  Beyond MAX_N_PRIME generators it raises
+    ResourceLimitError up front.
     """
     kind = rationality_class(variety)
     if not kind.is_rational:
         raise NotRationalError("the total coordinate space needs a rational variety")
-    if kind.is_factorial:
-        return CoxConstruction(variety, (1,) * len(variety.blocks), variety)
-    return CoxConstruction(variety, variety._counts, variety._tcs)
+    return variety if kind.is_factorial else variety._tcs
+
+
+def p1_matrix(variety: TrinomialVariety) -> IntMatrix:
+    """The r x (n + m) exponent matrix of an adjusted rational variety with
+    row 1 divided by gcd(L0, L1) and row 2 by gcd(L0, L2), which divide
+    their rows exactly.  An affine space keeps its rows unscaled."""
+    if not rationality_class(variety).is_rational:
+        raise NotRationalError("P1 needs a rational variety")
+    rows = _exponent_rows(variety.blocks)
+    if not variety.is_degenerate:
+        c = variety._counts
+        rows[:2] = [{j: e // d for j, e in row.items()} for row, d in zip(rows, (c[2], c[1]))]
+    return IntMatrix.from_sparse(rows, variety.n + variety.m)
 
 
 _ADE_BY_TRIPLE = {(5, 3, 2): "E8", (4, 3, 2): "E6", (3, 3, 2): "D4"}
@@ -252,7 +221,7 @@ def iterate_cox_rings(variety: TrinomialVariety) -> IterationChain:
             break
         if len(steps) >= _MAX_CHAIN_LENGTH:
             raise OracleMismatchError("iteration did not reach a factorial variety")
-        current = adjust(total_coordinate_space(current).tcs)[0]
+        current = adjust(total_coordinate_space(current))[0]
 
     patterns = tuple(
         classify_chain_pattern(steps[k + 1].triple, steps[k].triple)
@@ -308,8 +277,7 @@ def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
     """Build and verify the surface correspondence for a hyperplatonic variety."""
     x_triple = basic_platonic_triple(variety)  # the triple is invariant under adjust
     adjusted = adjust(variety)[0]
-    cox = total_coordinate_space(adjusted)
-    xprime = adjust(cox.tcs)[0]
+    xprime = adjust(total_coordinate_space(adjusted))[0]
     xprime_triple = is_hyperplatonic(xprime)
     if xprime_triple is None:
         raise OracleMismatchError(
@@ -319,7 +287,7 @@ def duval_diagram(variety: TrinomialVariety) -> DuvalDiagram:
 
     y = duval_surface(x_triple)
     yprime = duval_surface(xprime_triple)
-    y_tcs = adjust(total_coordinate_space(adjust(y)[0]).tcs)[0]
+    y_tcs = adjust(total_coordinate_space(adjust(y)[0]))[0]
     y_tcs_triple = is_hyperplatonic(y_tcs)
     verified = y_tcs_triple is not None and (
         y_tcs_triple.as_tuple() == xprime_triple.as_tuple()

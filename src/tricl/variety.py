@@ -467,7 +467,8 @@ MAX_BLOCK = 16
 
 # The most generators n' = sum c(i) n_i of a total coordinate space that is
 # handled.  The class group has up to n' factors and its presentations n'
-# columns, so this bounds time and memory.
+# columns, so this bounds the size of a presentation, not the time of its
+# Smith form, which grows with the exponents' bit length.
 MAX_N_PRIME = 1 << 15
 
 

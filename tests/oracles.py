@@ -21,7 +21,13 @@ from tricl.classgroup import grading_matrix
 from tricl.coxring import total_coordinate_space
 from tricl.errors import InvalidVarietyError
 from tricl.exactlinalg import FgAbelianGroup, IntMatrix, smith_invariants
-from tricl.variety import RationalityClass, RationalityKind, adjust
+from tricl.variety import (
+    RationalityClass,
+    RationalityKind,
+    adjust,
+    block_invariants,
+    rationality_class,
+)
 
 
 def _block_key(block, original_index):
@@ -604,47 +610,56 @@ def torsion_part(group: FgAbelianGroup) -> FgAbelianGroup:
     return FgAbelianGroup(0, group.invariant_factors)
 
 
-def grading_rows_reference(kind: RationalityClass, cox) -> IntMatrix:
+def tcs_copies(variety) -> list[tuple[tuple[int, ...], ...]]:
+    """The raw TCS blocks grouped per source block i: its c(i) copies, one
+    copy of each block when the variety is factorial or degenerate."""
+    blocks = total_coordinate_space(variety).blocks
+    counts = block_invariants(variety).c or (1,) * len(blocks)
+    ends = itertools.accumulate(counts)
+    return [blocks[end - k : end] for k, end in zip(counts, ends)]
+
+
+def grading_rows_reference(variety) -> IntMatrix:
     """The grading matrix, with an explicit (i, t, j) -> column map.
 
     Columns are indexed by (i, t, j): source block i, copy t, variable j,
     copies varying faster than blocks.
     """
-    if kind.kind is RationalityKind.CASE_II:
-        return block_diagonal(
-            [matrix_A(cox.c[i], copies[0]) for i, copies in enumerate(cox.tcs_blocks)]
-        )
+    groups = tcs_copies(variety)
+    if rationality_class(variety).kind is RationalityKind.CASE_II:
+        return block_diagonal([matrix_A(len(copies), copies[0]) for copies in groups])
 
+    n_prime = total_coordinate_space(variety).n
     offsets = []
     position = 0
-    for copies in cox.tcs_blocks:
+    for copies in groups:
         offsets.append(position)
         position += len(copies) * len(copies[0])
 
     def column(i: int, t: int, j: int) -> int:
-        block_length = len(cox.tcs_blocks[i][0])
+        block_length = len(groups[i][0])
         return offsets[i] + (t - 1) * block_length + (j - 1)
 
     rows = []
-    for i, copies in enumerate(cox.tcs_blocks):
+    for i, copies in enumerate(groups):
         for j in range(1, len(copies[0]) + 1):
-            row = [0] * cox.n_prime
+            row = [0] * n_prime
             for t in range(1, len(copies) + 1):
                 row[column(i, t, j)] = 1
             rows.append(row)
-    base = cox.tcs_blocks[0][0]
-    for i, copies in enumerate(cox.tcs_blocks):
+    base = groups[0][0]
+    for i, copies in enumerate(groups):
         for t in range(1, len(copies) + 1):
             if (i, t) == (0, 1):
                 continue
-            row = [0] * cox.n_prime
+            row = [0] * n_prime
             vector = copies[t - 1]
             for j in range(1, len(vector) + 1):
                 row[column(i, t, j)] += vector[j - 1]
             for j in range(1, len(base) + 1):
                 row[column(0, 1, j)] -= base[j - 1]
             rows.append(row)
-    return IntMatrix.from_rows(rows, cox.n_prime)
+    return IntMatrix.from_rows(rows, n_prime)
 
 
 
@@ -679,7 +694,7 @@ def leading_class_order(variety, exponents) -> Optional[int]:
 
 def relation_degree_order(variety) -> Optional[int]:
     """Order of the class of the leading relation monomial sum_j l_{0j,1} D_{0j,1}."""
-    return leading_class_order(variety, total_coordinate_space(variety).tcs_blocks[0][0])
+    return leading_class_order(variety, total_coordinate_space(variety).blocks[0])
 
 
 def cyclic_subgroup_order(variety, y: int) -> Optional[int]:
@@ -749,8 +764,7 @@ def duval_saturation_by_lattice(variety) -> bool:
     """`DuvalDiagram.saturation_ok` by lattice algebra: for every TCS block
     with c(i) = k copies of l, `matrix_B(k, l, gcd(l))` is saturated in
     `matrix_A(k, l)`."""
-    cox = total_coordinate_space(adjust(variety)[0])
     return all(
         is_saturated_sublattice(matrix_B(k, l, math.gcd(*l)), matrix_A(k, l))
-        for k, (l, *_) in zip(cox.c, cox.tcs_blocks)
+        for k, l in ((len(copies), copies[0]) for copies in tcs_copies(adjust(variety)[0]))
     )

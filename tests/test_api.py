@@ -1,6 +1,14 @@
-"""The public surface of the package, pinned so that changes to it are deliberate."""
+"""The public surface of the package, pinned so that changes to it are
+deliberate, and the README's quick start, run as written."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
 
 import tricl
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # `__all__` lists every public name bound in the package, its submodules too.
 PUBLIC_NAMES = [
@@ -8,7 +16,6 @@ PUBLIC_NAMES = [
     "BlockInvariants",
     "ClassGroupPredicates",
     "ClassGroupReport",
-    "CoxConstruction",
     "DuplicateThetaError",
     "DuvalDiagram",
     "EmptyBlockError",
@@ -64,6 +71,7 @@ PUBLIC_NAMES = [
     "iterate_cox_rings",
     "lift_to_type2",
     "n_tilde",
+    "p1_matrix",
     "predicates",
     "rationality_class",
     "render_relations",
@@ -77,3 +85,19 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(tricl.__all__) == PUBLIC_NAMES
+
+
+def test_readme_quick_start_prints_its_comments():
+    """Each `print` line of the README's `python` block prints exactly the
+    text of its trailing `# ...` comment."""
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    expected = []
+    for line in code.splitlines():
+        if line.startswith("print("):
+            _, _, comment = line.partition("  # ")
+            assert comment, line
+            expected.append(comment)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == expected

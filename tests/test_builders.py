@@ -11,7 +11,7 @@ import pytest
 import make_golden
 from oracles import grading_rows_reference, p1_rows_reference
 from tricl.classgroup import grading_matrix
-from tricl.coxring import total_coordinate_space
+from tricl.coxring import p1_matrix
 from tricl.variety import RationalityKind, TrinomialVariety, adjust, rationality_class
 
 NON_FACTORIAL = (RationalityKind.CASE_II, RationalityKind.CASE_III)
@@ -34,12 +34,9 @@ def non_factorial(enumeration_corpus):
 
 def test_p1_matrix_matches_reference(non_factorial):
     for variety in non_factorial:
-        assert total_coordinate_space(variety).p1 == p1_rows_reference(variety), variety.blocks
+        assert p1_matrix(variety) == p1_rows_reference(variety), variety.blocks
 
 
 def test_grading_matrix_matches_reference(non_factorial):
     for variety in non_factorial:
-        expected = grading_rows_reference(
-            rationality_class(variety), total_coordinate_space(variety)
-        )
-        assert grading_matrix(variety) == expected, variety.blocks
+        assert grading_matrix(variety) == grading_rows_reference(variety), variety.blocks

@@ -114,7 +114,7 @@ class TestRankIdentity:
         adjusted, _ = adjust(V(blocks, m))
         if not rationality_class(adjusted).is_rational:
             return False
-        tcs = coxring.total_coordinate_space(adjusted).tcs
+        tcs = coxring.total_coordinate_space(adjusted)
         assert dimension(tcs) - dimension(adjusted) == n_tilde(adjusted), (blocks, m)
         return True
 
@@ -375,7 +375,7 @@ class TestTotalCoordinateSpaceBuiltOnce:
 
     def test_cache_makes_no_reference_cycle(self):
         variety = V([[2, 4], [2], [2, 6]])
-        assert coxring.total_coordinate_space(variety).source is variety
+        assert coxring.total_coordinate_space(variety) is variety._tcs
         alive = weakref.ref(variety)
         gc.disable()
         try:
@@ -389,8 +389,7 @@ class TestResourceLimit:
     """Beyond MAX_N_PRIME TCS generators every route refuses up front."""
 
     def test_refused_before_any_matrix_is_built(self, monkeypatch):
-        refuse = property(lambda cox: pytest.fail("built P1"))
-        monkeypatch.setattr(coxring.CoxConstruction, "p1", refuse)
+        monkeypatch.setattr(coxring, "p1_matrix", lambda v: pytest.fail("built P1"))
         c = MAX_N_PRIME  # n' = c + 2
         routes = (
             class_group_formula,
@@ -411,5 +410,5 @@ class TestResourceLimit:
     def test_the_bound_itself_is_handled(self):
         c = MAX_N_PRIME - 2
         variety = V([[c], [c], [5]])
-        assert coxring.total_coordinate_space(variety).n_prime == MAX_N_PRIME
+        assert coxring.total_coordinate_space(variety).n == MAX_N_PRIME
         assert class_group_formula(variety) == G(0, (5,) * (c - 1))

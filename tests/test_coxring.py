@@ -24,6 +24,7 @@ from tricl.coxring import (
     duval_surface,
     is_hyperplatonic,
     iterate_cox_rings,
+    p1_matrix,
     total_coordinate_space,
 )
 from tricl.errors import (
@@ -34,7 +35,7 @@ from tricl.errors import (
     NotRationalError,
 )
 from tricl.exactlinalg import FgAbelianGroup, IntMatrix
-from tricl.variety import MAX_BLOCK, TrinomialVariety, adjust
+from tricl.variety import MAX_BLOCK, TrinomialVariety, adjust, block_invariants
 
 V = TrinomialVariety
 G = FgAbelianGroup
@@ -43,7 +44,7 @@ G = FgAbelianGroup
 class TestP1Matrix:
     @staticmethod
     def p1(blocks, m=0):
-        return total_coordinate_space(V(blocks, m)).p1
+        return p1_matrix(V(blocks, m))
 
     def test_d4(self):
         assert self.p1([[3], [3], [2]]) == IntMatrix.from_rows([[-1, 1, 0], [-3, 0, 2]])
@@ -68,39 +69,44 @@ class TestP1Matrix:
 
 class TestTotalCoordinateSpace:
     def test_quadric_tcs_is_six_lines(self):
-        cox = total_coordinate_space(V([[2], [2], [2]]))
-        assert cox.c == (2, 2, 2)
-        assert cox.tcs.blocks == ((1,),) * 6
-        assert adjust(cox.tcs)[0].is_degenerate
+        v = V([[2], [2], [2]])
+        tcs = total_coordinate_space(v)
+        assert block_invariants(v).c == (2, 2, 2)
+        assert tcs.blocks == ((1,),) * 6
+        assert adjust(tcs)[0].is_degenerate
 
     def test_d4_tcs(self):
-        cox = total_coordinate_space(V([[3], [3], [2]]))
-        assert cox.c == (1, 1, 3)
-        assert cox.tcs.blocks == ((1,), (1,), (2,), (2,), (2,))
-        assert basic_platonic_triple(adjust(cox.tcs)[0]).as_tuple() == (2, 2, 2)
+        v = V([[3], [3], [2]])
+        tcs = total_coordinate_space(v)
+        assert block_invariants(v).c == (1, 1, 3)
+        assert tcs.blocks == ((1,), (1,), (2,), (2,), (2,))
+        assert basic_platonic_triple(adjust(tcs)[0]).as_tuple() == (2, 2, 2)
 
     def test_case_ii_block_data(self):
-        cox = total_coordinate_space(V([[4], [2], [3, 3]]))
-        assert cox.c == (1, 1, 2)
-        assert cox.tcs_blocks == (((2,),), ((1,),), ((3, 3), (3, 3)))
-        assert cox.n_prime == 6 and cox.r_prime == 3
+        v = V([[4], [2], [3, 3]])
+        tcs = total_coordinate_space(v)
+        assert block_invariants(v).c == (1, 1, 2)
+        assert tcs.blocks == ((2,), (1,), (3, 3), (3, 3))
+        assert tcs.n == 6 and tcs.r == 3
 
     def test_factorial_identity_construction(self):
         v = V([[2], [3], [5]])
-        cox = total_coordinate_space(v)
-        assert cox.tcs is v
-        assert cox.c == (1, 1, 1)
+        assert total_coordinate_space(v) is v
+        assert block_invariants(v).c == (1, 1, 1)
+
+    def test_every_call_returns_the_same_value(self):
+        for v in (V([[2, 4], [2], [2, 6]]), V([[2], [3], [5]]), V([[3], [3]])):
+            assert total_coordinate_space(v) is total_coordinate_space(v)
+            assert isinstance(total_coordinate_space(v), TrinomialVariety)
 
     def test_m_is_preserved(self):
-        cox = total_coordinate_space(V([[2], [2], [2]], m=2))
-        assert cox.tcs.m == 2
+        assert total_coordinate_space(V([[2], [2], [2]], m=2)).m == 2
 
     def test_counts_match_shapes(self):
-        cox = total_coordinate_space(V([[2, 4], [2], [2, 6]]))
-        assert cox.n_prime == sum(
-            c * len(block) for c, block in zip(cox.c, cox.source.blocks)
-        )
-        assert cox.r_prime == sum(cox.c) - 1
+        v = V([[2, 4], [2], [2, 6]])
+        tcs, c = total_coordinate_space(v), block_invariants(v).c
+        assert tcs.n == sum(k * len(block) for k, block in zip(c, v.blocks))
+        assert tcs.r == sum(c) - 1
 
 
 class TestHyperplatonic:
@@ -281,7 +287,7 @@ class TestIterationChains:
     def test_chain_steps_are_adjusted_tcs_of_predecessor(self):
         chain = iterate_cox_rings(V([[4], [3], [2]]))
         for earlier, later in zip(chain.steps, chain.steps[1:]):
-            expected = adjust(total_coordinate_space(earlier.variety).tcs)[0]
+            expected = adjust(total_coordinate_space(earlier.variety))[0]
             assert later.variety.blocks == expected.blocks
 
 

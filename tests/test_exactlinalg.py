@@ -658,7 +658,7 @@ def _recorded_arguments(monkeypatch, module, name) -> list:
 
 def _exponent_matrix_cokernels(varieties) -> list[FgAbelianGroup]:
     """The Smith-form route to the compulsory torsion that its lemma replaces."""
-    return [cokernel(exponent_matrix(total_coordinate_space(v).tcs)) for v in varieties]
+    return [cokernel(exponent_matrix(total_coordinate_space(v))) for v in varieties]
 
 
 def _assert_same_exact_stage(rows):

@@ -12,7 +12,7 @@ import json
 import random
 
 import make_golden
-from tricl import coxring, exactlinalg
+from tricl import cli, coxring, exactlinalg
 
 
 def test_cli_output_matches_golden():
@@ -75,8 +75,8 @@ def test_formula_routes_run_no_smith_form(tmp_path, monkeypatch):
 
 def test_only_coxring_builds_p1(tmp_path, monkeypatch):
     """Every command but `coxring` gives the same records on the golden
-    inputs when building P1 fails: the total coordinate space is read off
-    its lemma."""
+    inputs and never calls `p1_matrix`: the total coordinate space is read
+    off its lemma.  `coxring` calls it once per input."""
     commands = [("classgroup", "--method", m) for m in ("formula", "snf", "both")]
     commands += [("report", "--method", m) for m in ("formula", "snf", "both")]
     commands += [("iterate",), ("duval",)]
@@ -85,9 +85,16 @@ def test_only_coxring_builds_p1(tmp_path, monkeypatch):
     expected = [make_golden.run(*run, tmp_path) for run in runs]
     assert sum(record["exit_code"] == 0 for record in expected) > len(runs) // 2
 
-    def refuse(cox):
-        raise AssertionError("P1 was built")
+    built = []
 
-    monkeypatch.setattr(coxring.CoxConstruction, "p1", property(refuse))
+    def counting(variety):
+        built.append(variety)
+        return coxring.p1_matrix(variety)
+
+    monkeypatch.setattr(cli, "p1_matrix", counting)
     for run, record in zip(runs, expected):
         assert make_golden.run(*run, tmp_path) == record, run[:1] + run[2:]
+    assert built == []
+    name, spec = make_golden.inputs()[0]
+    assert make_golden.run(name, spec, ("coxring",), tmp_path)["exit_code"] == 0
+    assert len(built) == 1

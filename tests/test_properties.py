@@ -13,6 +13,7 @@ from oracles import (
     exponent_matrix,
     p1_rows_reference,
     relation_degree_order,
+    tcs_copies,
     torsion_part,
 )
 from test_variety import criterion_9_multisets
@@ -92,18 +93,18 @@ class TestIterationProperties:
         for variety in hyperplatonic_corpus[:40]:
             chain = iterate_cox_rings(variety)
             for earlier, later in zip(chain.steps, chain.steps[1:]):
-                expected = adjust(total_coordinate_space(earlier.variety).tcs)[0]
+                expected = adjust(total_coordinate_space(earlier.variety))[0]
                 assert later.variety.blocks == expected.blocks
 
     def test_tcs_copies_identical_and_counts(self, rational_corpus):
         for variety in rational_corpus[:120]:
-            cox = total_coordinate_space(variety)
-            for copies in cox.tcs_blocks:
+            tcs = total_coordinate_space(variety)
+            groups = tcs_copies(variety)
+            for copies in groups:
                 assert len(set(copies)) == 1
-            assert cox.n_prime == sum(
-                c * len(block) for c, block in zip(cox.c, variety.blocks)
-            )
-            assert cox.r_prime == sum(cox.c) - 1
+            c = [len(copies) for copies in groups]
+            assert tcs.n == sum(k * len(block) for k, block in zip(c, variety.blocks))
+            assert tcs.r == sum(c) - 1
 
     def test_duval_verified_on_non_smooth(self, hyperplatonic_corpus):
         for variety in hyperplatonic_corpus:
@@ -237,7 +238,7 @@ class TestWideRationalInput:
     @WIDE_INPUT
     @given(adjusted_rational())
     def test_rank_is_the_dimension_difference(self, variety):
-        tcs = total_coordinate_space(variety).tcs
+        tcs = total_coordinate_space(variety)
         assert class_group_formula(variety).rank == dimension(tcs) - dimension(variety)
 
     @WIDE_INPUT
@@ -256,7 +257,7 @@ def _assert_compulsory_torsion_lemma(variety):
     """`compulsory_torsion` raises OracleMismatchError unless its closed form
     equals the lemma on the TCS block gcds; both must be the torsion of the
     cokernel of the TCS exponent matrix, which the lemma stands for."""
-    tcs = total_coordinate_space(variety).tcs
+    tcs = total_coordinate_space(variety)
     expected = torsion_part(cokernel(exponent_matrix(tcs)))
     assert compulsory_torsion(variety) == expected, (variety.blocks, variety.m)
 
@@ -286,14 +287,14 @@ def _assert_tcs_lemma(variety):
     with P1 built row by row by the oracle."""
     p1 = p1_rows_reference(variety)
     gcds = [math.gcd(*column) for column in zip(*map(p1.row, range(p1.rows)))]
-    cox = total_coordinate_space(variety)
+    tcs = total_coordinate_space(variety)
     vectors, start = [], 0
     for block in variety.blocks:
         vectors.append(tuple(gcds[start : start + len(block)]))
         start += len(block)
-    expected = tuple(vector for vector, k in zip(vectors, cox.c) for _ in range(k))
-    assert cox.c == block_invariants(variety).c
-    assert cox.tcs.blocks == expected and cox.tcs.m == variety.m, (variety.blocks, variety.m)
+    c = block_invariants(variety).c
+    expected = tuple(vector for vector, k in zip(vectors, c) for _ in range(k))
+    assert tcs.blocks == expected and tcs.m == variety.m, (variety.blocks, variety.m)
 
 
 class TestTotalCoordinateSpaceLemma:
