@@ -24,9 +24,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .coxring import total_coordinate_space
 from .errors import (
     FactorialInputError,
     FreeVariablesPresentError,
@@ -42,20 +41,69 @@ from .exactlinalg import (
     cokernel,
 )
 from .variety import (
-    NOT_FINITELY_GENERATED,
-    ClassGroup,
-    NotFinitelyGenerated,
     RationalityClass,
     RationalityKind,
     TrinomialVariety,
     _block_offsets,
+    _checked_n_prime,
     _exponent_rows,
-    _torsion_tail,
-    class_group_formula,
     dimension,
     rationality_class,
     require_adjusted,
 )
+
+
+class NotFinitelyGenerated:
+    """Singleton marker value: the class group is not finitely generated.
+
+    Returned (never raised) by the formula route; operations that need an
+    actual group treat it as a precondition failure.
+    """
+
+    _instance: Optional["NotFinitelyGenerated"] = None
+
+    def __new__(cls) -> "NotFinitelyGenerated":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "NotFinitelyGenerated"
+
+    def __str__(self) -> str:
+        return "not finitely generated"
+
+
+NOT_FINITELY_GENERATED = NotFinitelyGenerated()
+
+ClassGroup = Union[FgAbelianGroup, NotFinitelyGenerated]
+
+
+def _torsion_tail(kind: RationalityClass, gcds: Sequence[int]) -> list[int]:
+    """The factors (Z/L_i)^(c-1) for i >= 2 in case II, (Z/L_i)^3 for i >= 3
+    in case III: the torsion the class group and the compulsory torsion share."""
+    start, copies = (2, kind.c - 1) if kind.kind is RationalityKind.CASE_II else (3, 3)
+    return [g for g in gcds[start:] for _ in range(copies)]
+
+
+def class_group_formula(variety: TrinomialVariety) -> ClassGroup:
+    """Divisor class group by the closed formulas, in canonical form.
+
+    Degenerate data is an affine space with trivial group.  Non-rational
+    input returns the NOT_FINITELY_GENERATED marker.  It reads only the
+    value's cached analysis.  The group can have nearly n' factors, so it
+    too raises ResourceLimitError beyond MAX_N_PRIME.
+    """
+    kind = rationality_class(variety)
+    if kind.is_factorial:
+        return TRIVIAL_GROUP
+    if not kind.is_rational:
+        return NOT_FINITELY_GENERATED
+    _checked_n_prime(variety)
+    gcds = variety._gcds
+    factors = [gcds[0] * gcds[1] * gcds[2] // 4] if kind.kind is RationalityKind.CASE_III else []
+    factors += _torsion_tail(kind, gcds)
+    return FgAbelianGroup(variety._free_rank(), factors)
 
 
 def n_tilde(variety: TrinomialVariety) -> int:
@@ -85,19 +133,30 @@ def compulsory_torsion(variety: TrinomialVariety) -> FgAbelianGroup:
     (raw) total coordinate space, whose blocks have gcds g_0 .. g_r, is the
     invariant-factor chain of Z/g_0 x ... x Z/g_r without its largest
     factor, since the k x k minors are, up to unimodular column operations,
-    +- the products of k distinct g_j.  Disagreement raises
-    OracleMismatchError.
+    +- the products of k distinct g_j.  That largest factor, 1 for an empty
+    chain, is g_0 ... g_r over the torsion order: L0 L1 ... Lr / c^2 in
+    case II and L0 L1 ... Lr / 8 in case III, which is checked too.
+    Disagreement raises OracleMismatchError.
     """
     kind = _require_rational_nonfactorial(variety)
     gcds = variety.block_gcds()
-    factors = [g // 2 for g in gcds[:3]] if kind.kind is RationalityKind.CASE_III else []
+    case_iii = kind.kind is RationalityKind.CASE_III
+    factors = [g // 2 for g in gcds[:3]] if case_iii else []
     closed = FgAbelianGroup(0, factors + _torsion_tail(kind, gcds))
-    tcs_gcds = total_coordinate_space(variety).block_gcds()
-    lemma = FgAbelianGroup(0, _chain(tcs_gcds)[:-1])
+    tcs_gcds = variety._tcs.block_gcds()
+    chain = _chain(tcs_gcds)
+    lemma = FgAbelianGroup(0, chain[:-1])
     if closed != lemma:
         raise OracleMismatchError(
             f"compulsory torsion mismatch: closed form {closed}, "
             f"lemma {lemma} on the TCS block gcds {tcs_gcds}"
+        )
+    largest = math.prod(gcds) // (8 if case_iii else kind.c**2)
+    top = chain[-1] if chain else 1
+    if largest != top:
+        raise OracleMismatchError(
+            f"compulsory torsion mismatch: largest factor {largest} by the closed form, "
+            f"{top} by the lemma on the TCS block gcds {tcs_gcds}"
         )
     return closed
 
@@ -115,7 +174,7 @@ def grading_matrix(variety: TrinomialVariety) -> IntMatrix:
     variables have degree zero and contribute no columns.
     """
     kind = _require_rational_nonfactorial(variety)
-    tcs = total_coordinate_space(variety)
+    tcs = variety._tcs
     # Flattened, the TCS blocks are the (i, t) pairs in column order.
     offsets = _block_offsets(tcs.blocks)
     rows = []
@@ -176,23 +235,14 @@ def predicates(variety: TrinomialVariety) -> ClassGroupPredicates:
     """
     kind = rationality_class(variety)
     gcds = variety.block_gcds()
-    descending = sorted(gcds, reverse=True)
 
-    crit_free = kind.is_factorial or all(g == 1 for g in descending[2:])
-    if kind.is_factorial:
-        crit_finite = True
-        crit_cyclic: Optional[FgAbelianGroup] = None
-    elif not kind.is_rational:
-        crit_finite = False
-        crit_cyclic = None
-    else:
-        counts = variety._counts
-        zero_rank = all(
-            c == 1 or len(block) == 1 for c, block in zip(counts, variety.blocks)
-        )
-        crit_finite = zero_rank
-        crit_cyclic = None
-        if zero_rank:
+    crit_free = kind.is_factorial or all(g == 1 for g in sorted(gcds)[:-2])
+    crit_finite = kind.is_factorial
+    crit_cyclic: Optional[FgAbelianGroup] = None
+    if kind.is_rational and not kind.is_factorial:
+        blocks = zip(variety._counts, variety.blocks)
+        crit_finite = all(c == 1 or len(block) == 1 for c, block in blocks)
+        if crit_finite:
             if kind.kind is RationalityKind.CASE_II and kind.c == 2:
                 product = math.prod(gcds[2:])
                 if product > 1:

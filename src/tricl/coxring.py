@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .classgroup import class_group_formula
 from .errors import (
     IterationNotAdmittedError,
     NotHyperplatonicError,
@@ -29,7 +30,6 @@ from .variety import (
     _exponent_rows,
     _monomial,
     adjust,
-    class_group_formula,
     rationality_class,
 )
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classgroup import GroupMethod, class_group_report, predicates
+from .classgroup import NOT_FINITELY_GENERATED, GroupMethod, class_group_report, predicates
 from .coxring import duval_diagram, iterate_cox_rings
 from .exactlinalg import FgAbelianGroup
 from .type1 import Type1Variety, adjust_type1, class_group_type1, lift_to_type2
-from .variety import NOT_FINITELY_GENERATED, TrinomialVariety, adjust
+from .variety import TrinomialVariety, adjust
 
 
 @dataclass(frozen=True)

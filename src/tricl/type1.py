@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .classgroup import NOT_FINITELY_GENERATED, ClassGroup
 from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup
-from .variety import (
-    NOT_FINITELY_GENERATED, ClassGroup, TrinomialVariety, _analysis, _derived, _reordered,
-    _Variety, require_adjusted,
-)
+from .variety import TrinomialVariety, _analysis, _derived, _reordered, _Variety, require_adjusted
 
 
 @dataclass(frozen=True)

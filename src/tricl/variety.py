@@ -50,7 +50,7 @@ from .errors import (
     NotAdjustedError,
     ResourceLimitError,
 )
-from .exactlinalg import TRIVIAL_GROUP, FgAbelianGroup, SparseRow
+from .exactlinalg import SparseRow
 
 Theta = Union[Fraction, str]
 
@@ -484,59 +484,6 @@ def _checked_n_prime(variety: TrinomialVariety) -> None:
     """`check_size` on n' of an adjusted rational variety."""
     n_prime = sum(map(operator.mul, variety._counts, map(len, variety.blocks)))
     check_size("n'", n_prime, "TCS generators")
-
-
-class NotFinitelyGenerated:
-    """Singleton marker value: the class group is not finitely generated.
-
-    Returned (never raised) by the formula route; operations that need an
-    actual group treat it as a precondition failure.
-    """
-
-    _instance: Optional["NotFinitelyGenerated"] = None
-
-    def __new__(cls) -> "NotFinitelyGenerated":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NotFinitelyGenerated"
-
-    def __str__(self) -> str:
-        return "not finitely generated"
-
-
-NOT_FINITELY_GENERATED = NotFinitelyGenerated()
-
-ClassGroup = Union[FgAbelianGroup, NotFinitelyGenerated]
-
-
-def _torsion_tail(kind: RationalityClass, gcds: Sequence[int]) -> list[int]:
-    """The factors (Z/L_i)^(c-1) for i >= 2 in case II, (Z/L_i)^3 for i >= 3
-    in case III: the torsion the class group and the compulsory torsion share."""
-    start, copies = (2, kind.c - 1) if kind.kind is RationalityKind.CASE_II else (3, 3)
-    return [g for g in gcds[start:] for _ in range(copies)]
-
-
-def class_group_formula(variety: TrinomialVariety) -> ClassGroup:
-    """Divisor class group by the closed formulas, in canonical form.
-
-    Degenerate data is an affine space with trivial group.  Non-rational
-    input returns the NOT_FINITELY_GENERATED marker.  It reads only the
-    value's cached analysis.  The group can have nearly n' factors, so it
-    too raises ResourceLimitError beyond MAX_N_PRIME.
-    """
-    kind = rationality_class(variety)
-    if kind.is_factorial:
-        return TRIVIAL_GROUP
-    if not kind.is_rational:
-        return NOT_FINITELY_GENERATED
-    _checked_n_prime(variety)
-    gcds = variety._gcds
-    factors = [gcds[0] * gcds[1] * gcds[2] // 4] if kind.kind is RationalityKind.CASE_III else []
-    factors += _torsion_tail(kind, gcds)
-    return FgAbelianGroup(variety._free_rank(), factors)
 
 
 def _block_offsets(blocks: Sequence[Sequence[int]]) -> list[int]:

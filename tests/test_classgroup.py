@@ -1,13 +1,15 @@
 """Tests for the class group formulas, the SNF presentation and predicates."""
 
+import ast
 import gc
+import inspect
 import weakref
 
 import pytest
 
 from oracles import block_diagonal, cyclic_subgroup_order, matrix_A, relation_degree_order
 from test_variety import criterion_9_multisets, seeded_inputs_up_to_the_block_cap
-from tricl import classgroup, coxring
+from tricl import classgroup, coxring, variety as variety_module
 from tricl.classgroup import (
     NOT_FINITELY_GENERATED,
     ClassGroupPredicates,
@@ -35,6 +37,8 @@ from tricl.exactlinalg import FgAbelianGroup, IntMatrix, cokernel
 from tricl.variety import (
     MAX_BLOCK,
     MAX_N_PRIME,
+    RationalityClass,
+    RationalityKind,
     TrinomialVariety,
     adjust,
     dimension,
@@ -275,6 +279,21 @@ class TestPredicates:
         result = predicates(V([[2], [2], [3], [5]]))
         assert result.cyclic == G(0, (15,))
 
+    def test_disagreement_with_the_computed_group_raises(self, monkeypatch):
+        # The formula route is made to give Z/3 for the quadric, whose
+        # criteria read a cyclic group of order two.
+        monkeypatch.setattr(classgroup, "class_group_formula", lambda variety: G(0, (3,)))
+        with pytest.raises(OracleMismatchError, match="disagree with the computed group Z/3 "):
+            predicates(QUADRIC)
+
+    def test_a_criterion_firing_on_non_rational_input_raises(self, monkeypatch):
+        # The quadric is taken for non-rational; its half-factorial criterion
+        # reads the blocks alone and still fires.
+        non_rational = RationalityClass(RationalityKind.NON_RATIONAL)
+        monkeypatch.setattr(classgroup, "rationality_class", lambda variety: non_rational)
+        with pytest.raises(OracleMismatchError, match="fired on a non-rational variety"):
+            predicates(QUADRIC)
+
     def test_both_ways_against_the_snf_route(self, enumeration_corpus):
         """Each predicate holds iff the group of `class_group_snf`, which
         `predicates` never calls, has its shape; factorial varieties, which
@@ -412,3 +431,22 @@ class TestResourceLimit:
         variety = V([[c], [c], [5]])
         assert coxring.total_coordinate_space(variety).n == MAX_N_PRIME
         assert class_group_formula(variety) == G(0, (5,) * (c - 1))
+
+
+class TestModuleBoundary:
+    """Both routes of the class group live in `classgroup`, which needs
+    nothing of `coxring`; `variety` keeps none of the formula route."""
+
+    def test_classgroup_imports_nothing_from_coxring(self):
+        names = []
+        for node in ast.walk(ast.parse(inspect.getsource(classgroup))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+        assert "variety" in names  # the scan sees the relative imports
+        assert not [name for name in names if "coxring" in name]
+
+    def test_the_formula_route_is_defined_in_classgroup(self):
+        assert class_group_formula.__module__ == "tricl.classgroup"
+        moved = ("NotFinitelyGenerated", "NOT_FINITELY_GENERATED", "ClassGroup")
+        for name in moved + ("_torsion_tail", "class_group_formula"):
+            assert hasattr(classgroup, name) and not hasattr(variety_module, name), name

@@ -19,7 +19,7 @@ from tricl.cli import (
     main,
     parse_spec,
 )
-from tricl.variety import MAX_BLOCK, MAX_N_PRIME
+from tricl.variety import MAX_BLOCK, MAX_N_PRIME, TrinomialVariety
 
 
 def write_spec(tmp_path, name, payload):
@@ -329,6 +329,30 @@ class TestSubcommands:
         assert failure["error"] == (
             "compulsory torsion mismatch: closed form Z/3, "
             "lemma Z/7 on the TCS block gcds (2, 1, 3, 3)"
+        )
+
+    def test_largest_tcs_block_gcd_fault_exits_5(self, tmp_path, capsys, monkeypatch):
+        # The TCS lemma is made to double its largest block gcd, (2, 1, 1, 1)
+        # becomes (4, 1, 1, 1): the torsion of its chain stays trivial, so
+        # only the chain's largest factor, 2 by the closed form, sees it.
+        derive = TrinomialVariety._tcs.function
+
+        def doubled(variety):
+            tcs = derive(variety)
+            top = tcs.block_gcds().index(max(tcs.block_gcds()))
+            blocks = list(tcs.blocks)
+            blocks[top] = [2 * e for e in blocks[top]]
+            return TrinomialVariety(blocks, tcs.m)
+
+        monkeypatch.setattr(TrinomialVariety._tcs, "function", doubled)
+        path = write_spec(tmp_path, "v.json", {"kind": "trinomial", "blocks": [[4], [2], [3, 2]]})
+        code, out, err = run_cli(capsys, "--format", "json", "classgroup", "--method", "formula", path)
+        assert code == EXIT_INTERNAL_MISMATCH and out == ""
+        failure = json.loads(err)
+        assert failure["error_type"] == "OracleMismatchError" and failure["exit_code"] == 5
+        assert failure["error"] == (
+            "compulsory torsion mismatch: largest factor 2 by the closed form, "
+            "4 by the lemma on the TCS block gcds (4, 1, 1, 1)"
         )
 
     def test_rank_mismatch_under_snf_exits_5(self, tmp_path, capsys, monkeypatch):

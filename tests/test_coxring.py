@@ -15,6 +15,7 @@ from oracles import (
     quotient_torsion_order,
 )
 from test_variety import criterion_9_multisets
+from tricl import coxring
 from tricl.classgroup import class_group_formula
 from tricl.coxring import (
     PlatonicTriple,
@@ -33,6 +34,7 @@ from tricl.errors import (
     NonPositiveExponentError,
     NotHyperplatonicError,
     NotRationalError,
+    OracleMismatchError,
 )
 from tricl.exactlinalg import FgAbelianGroup, IntMatrix
 from tricl.variety import MAX_BLOCK, TrinomialVariety, adjust, block_invariants
@@ -230,6 +232,12 @@ class TestIterationChains:
         with pytest.raises(NotRationalError):
             iterate_cox_rings(V([[6], [3], [4]]))
 
+    def test_a_chain_past_its_length_guard_raises(self, monkeypatch):
+        # The E6 chain has four steps; a guard of two stops it after two.
+        monkeypatch.setattr(coxring, "_MAX_CHAIN_LENGTH", 2)
+        with pytest.raises(OracleMismatchError, match="did not reach a factorial variety"):
+            iterate_cox_rings(V([[4], [3], [2]]))
+
     def test_every_enumerated_chain_extends_its_duval_surface_chain(self):
         """The paper's du Val square along the whole chain: on every
         hyperplatonic multiset of the criterion-9 enumeration, with basic
@@ -377,6 +385,12 @@ class TestDuvalDiagram:
     def test_not_hyperplatonic_rejected(self):
         with pytest.raises(NotHyperplatonicError):
             duval_diagram(V([[7], [3], [2]]))
+
+    def test_a_tcs_neither_factorial_nor_hyperplatonic_raises(self, monkeypatch):
+        # The TCS is replaced by [[7], [5], [3]]: 1/7 + 1/5 + 1/3 < 1.
+        monkeypatch.setattr(coxring, "total_coordinate_space", lambda variety: V([[7], [5], [3]]))
+        with pytest.raises(OracleMismatchError, match="must be factorial or hyperplatonic"):
+            duval_diagram(V([[4], [3], [2]]))
 
     def test_factorial_hyperplatonic_is_its_own_diagram(self):
         diagram = duval_diagram(V([[5], [3], [2,]]))
